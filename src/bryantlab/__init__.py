@@ -9,8 +9,8 @@ from .connection import (CousinData, HiggsField, HolonomyReport, ArcSegment,
                          LineSegment, Path, PathLoop, RationalForm,
                          cousin_data, det_higgs, higgs_from_frame, holonomy,
                          ktuy_check, model_end_field, parallel_transport,
-                         period_problem, simple_pole_field)
-from .defaults import DEFAULTS, NumericControls, thread_cap
+                         simple_pole_field)
+from .defaults import DEFAULTS, NumericControls
 from .ends import (LocalParabolicStructure, MeromorphicFramePair, PoloReport,
                    SingularEnd, end_report, hermitian_pairing, local_parabolic,
                    nabla_alpha, omega_alpha, polo_bound_check,
@@ -54,8 +54,8 @@ __all__ = [
     "higgs_from_frame", "holonomy", "hyperbolic_distance", "immerse",
     "ktuy_check", "local_parabolic", "mean_curvature", "model_end_field",
     "nabla_alpha", "omega_alpha", "parabolic_degree", "parallel_transport",
-    "period_problem", "polo_bound_check", "residue_parabolic",
+    "polo_bound_check", "residue_parabolic",
     "riemann_roch_counts", "sample_mesh", "simple_pole_field",
-    "stability_verdict", "stareq_residuals", "thread_cap", "to_minkowski",
+    "stability_verdict", "stareq_residuals", "to_minkowski",
     "weight_from_holonomy",
 ]

@@ -1,42 +1,32 @@
 """Command-line front end.
 
 Subcommands wrap the library one-to-one: verify (symbolic frame checks),
-surface (OBJ export plus a curvature summary), holonomy (period problem
-over a loop file), end (singular-end report), stability, bounds.
+surface (OBJ export plus a curvature summary), holonomy (connection.holonomy
+with commutators over a loop file), end (singular-end report), stability,
+bounds.
 
 Exit codes: 0 the check passed (or the report was produced), 1 the check
 failed or a library error was raised, 2 the input could not be parsed.
-Numeric controls all have flags; BRYANTLAB_THREADS caps the worker pool
-used for multi-loop transport and grid curvature sampling.
+Numeric controls all have flags.  Every subcommand runs single-threaded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path as FilePath
 
 from . import connection, ends, frames, hyperbolic, parabolic
-from .defaults import DEFAULTS, NumericControls, thread_cap
+from .defaults import DEFAULTS, NumericControls
 from .errors import BryantLabError, DegenerateMetric, PoleAtZero
 from .series import LaurentMatrix, canonical_dumps
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    command: str
-    inputs: tuple[str, ...]
-    controls: NumericControls
-    out: str | None
-    fmt: str
 
 
 class InputError(Exception):
@@ -110,7 +100,19 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if report.is_bryant else EXIT_FAIL
 
 
+def _check_grid(args):
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise InputError(f"--step must be positive and finite, got {args.step!r}")
+    if not (math.isfinite(args.radius) and args.radius > 0):
+        raise InputError(f"--radius must be positive and finite, got {args.radius!r}")
+    if not all(math.isfinite(c) for c in args.center):
+        raise InputError(f"--center must be finite, got {list(args.center)!r}")
+    if args.n < 1:
+        raise InputError(f"--n must be at least 1, got {args.n}")
+
+
 def cmd_surface(args) -> int:
+    _check_grid(args)
     matrix, domain = _load_matrix(args.frame)
     frame = frames.BryantFrame(matrix, domain)
     grid = hyperbolic.GridSpec(center=complex(args.center[0], args.center[1]),
@@ -122,11 +124,10 @@ def cmd_surface(args) -> int:
         try:
             s = hyperbolic.mean_curvature(frame, z, step=controls.step)
             return {"z": [z.real, z.imag], "H": s.H}
-        except (DegenerateMetric, PoleAtZero, ValueError) as exc:
+        except (DegenerateMetric, PoleAtZero) as exc:
             return {"z": [z.real, z.imag], "error": type(exc).__name__}
 
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        samples = list(pool.map(sample, grid.points()))
+    samples = [sample(z) for z in grid.points()]
     values = [s["H"] for s in samples if "H" in s]
     summary = {
         "vertices": mesh.valid_vertex_count,
@@ -150,13 +151,7 @@ def cmd_surface(args) -> int:
 def cmd_holonomy(args) -> int:
     theta = _load_higgs(args.field)
     loops = _load_loops(args.loops)
-    controls = _controls(args)
-
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        mats = list(pool.map(
-            lambda lp: connection.parallel_transport(theta, lp, controls), loops))
-    report = connection.report_from_matrices(mats, controls.su2_tol,
-                                             commutators=True)
+    report = connection.holonomy(theta, loops, _controls(args), commutators=True)
     _emit(canonical_dumps(report.to_json()), args.out)
     return EXIT_PASS if report.passes else EXIT_FAIL
 

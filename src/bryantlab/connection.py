@@ -134,11 +134,7 @@ def ktuy_check(theta: HiggsField) -> tuple[bool, LaurentPoly]:
 
 def det_higgs(theta: HiggsField) -> tuple[LaurentPoly, LaurentPoly]:
     """det Θ as (numerator, denominator), exact."""
-    d = theta.num.det()
-    tr_sq = (theta.num @ theta.num).trace()
-    # Cayley-Hamilton for trace-free 2x2: trace(N²) = -2 det N, identically
-    assert tr_sq == d.scale(-2)
-    return d, theta.den * theta.den
+    return theta.num.det(), theta.den * theta.den
 
 
 @dataclass(frozen=True)
@@ -467,7 +463,7 @@ class HolonomyReport:
 
     unitary_defects are ||U U* - I||_F, det_defects are |det U - 1|;
     the report passes when every defect is within tolerance.  The
-    commutator fields are filled by period_problem only.
+    commutator fields are filled only when holonomy is asked for them.
     """
 
     matrices: tuple[np.ndarray, ...]
@@ -533,22 +529,15 @@ def report_from_matrices(mats: Sequence[np.ndarray], su2_tol: float,
 
 
 def holonomy(theta: Union[HiggsField, ThetaValue], loops: Sequence[PathLoop],
-             su2_tol: float = DEFAULTS.su2_tol,
              controls: NumericControls = DEFAULTS,
-             poles: Iterable[complex] | None = None) -> HolonomyReport:
-    """Transport every generator loop and check the results against SU(2)."""
-    mats = tuple(parallel_transport(theta, lp, controls, poles) for lp in loops)
-    return report_from_matrices(mats, su2_tol)
+             poles: Iterable[complex] | None = None,
+             commutators: bool = False) -> HolonomyReport:
+    """Transport every generator loop and check the results against SU(2).
 
-
-def period_problem(theta: Union[HiggsField, ThetaValue], loops: Sequence[PathLoop],
-                   su2_tol: float = DEFAULTS.su2_tol,
-                   controls: NumericControls = DEFAULTS,
-                   poles: Iterable[complex] | None = None) -> HolonomyReport:
-    """SU(2) check plus abelianness of the group the generators span.
-
-    The commutator defect of a pair is ||U V U^{-1} V^{-1} - I||_F; the
-    group is reported abelian when every pairwise defect is within tol.
+    Every defect is judged against ``controls.su2_tol``.  With
+    ``commutators`` the report also holds the commutator defect
+    ||U V U^{-1} V^{-1} - I||_F of each pair of generators, and the group
+    they span is reported abelian when every pairwise defect is within tol.
     """
     mats = tuple(parallel_transport(theta, lp, controls, poles) for lp in loops)
-    return report_from_matrices(mats, su2_tol, commutators=True)
+    return report_from_matrices(mats, controls.su2_tol, commutators)

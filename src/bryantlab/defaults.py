@@ -16,7 +16,6 @@ pole_clearance          1e-3     minimum path distance to any connection pole
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 
@@ -34,16 +33,11 @@ class NumericControls:
 
 DEFAULTS = NumericControls()
 
-THREADS_ENV = "BRYANTLAB_THREADS"
-
 
 def thread_cap() -> int:
-    """Upper bound on worker threads, from the environment (default 1)."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+    """Always 1: the package runs single-threaded.
+
+    Kept because the benchmark harness still imports it; nothing in the
+    package calls it.
+    """
+    return 1

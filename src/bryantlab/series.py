@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import PoleAtZero
 
@@ -124,7 +124,6 @@ class GaussianRational:
 
 GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(Fraction(1))
-GR_I = GaussianRational(Fraction(0), Fraction(1))
 
 
 class LaurentPoly:
@@ -287,21 +286,24 @@ class LaurentPoly:
             if self.pole_order() > 0:
                 raise PoleAtZero("evaluation at 0 with negative exponents")
             return self.coeff(0)
+        if not self._c:
+            return GR_ZERO
+        c = self._c
+        lo, hi = min(c), max(c)
         acc = GR_ZERO
-        pow_cache: dict[int, GaussianRational] = {0: GR_ONE}
-
-        def zpow(e: int) -> GaussianRational:
-            if e in pow_cache:
-                return pow_cache[e]
-            if e > 0:
-                p = zpow(e - 1) * z
-            else:
-                p = zpow(e + 1) / z
-            pow_cache[e] = p
-            return p
-
-        for e, v in self._c.items():
-            acc = acc + v * zpow(e)
+        if hi >= 0:
+            for e in range(hi, -1, -1):
+                acc = acc * z
+                if e in c:
+                    acc = acc + c[e]
+        if lo < 0:
+            w = GR_ONE / z
+            neg = GR_ZERO
+            for e in range(lo, 0):
+                if e in c:
+                    neg = neg + c[e]
+                neg = neg * w
+            acc = acc + neg
         return acc
 
     # -- comparison ----------------------------------------------------------------
@@ -358,11 +360,6 @@ class LaurentMatrix:
     b: LaurentPoly
     c: LaurentPoly
     d: LaurentPoly
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[LaurentPoly]]) -> "LaurentMatrix":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d)
 
     @classmethod
     def identity(cls) -> "LaurentMatrix":

@@ -17,8 +17,7 @@ import numpy as np
 from bryantlab.connection import (HiggsField, PathLoop, Path, cousin_data,
                                   det_higgs, higgs_from_frame, holonomy,
                                   ktuy_check, model_end_field,
-                                  parallel_transport, period_problem,
-                                  simple_pole_field)
+                                  parallel_transport, simple_pole_field)
 from bryantlab.ends import (MeromorphicFramePair, SingularEnd, omega_alpha,
                             polo_bound_check, stareq_residuals,
                             weight_from_holonomy)
@@ -233,7 +232,7 @@ def test_criterion_08_weight_round_trip():
            failures)
 
 
-def test_criterion_09_period_problem_discrimination():
+def test_criterion_09_period_discrimination():
     failures = []
     circle = PathLoop.circle(0j, 1.0)
 
@@ -256,7 +255,7 @@ def test_criterion_09_period_problem_discrimination():
     theta = simple_pole_field([(0, g0), (1, g1)])
     loops = [PathLoop.circle(0j, 0.5, base_angle=0.0),
              PathLoop.circle(1 + 0j, 0.5, base_angle=math.pi)]
-    two = period_problem(theta, loops)
+    two = holonomy(theta, loops, commutators=True)
     if two.abelian or two.commutator_defects[0] <= 0.1:
         failures.append(f"two-puncture configuration: commutator defect "
                         f"{two.commutator_defects[0]:.2e}, expected > 0.1")

@@ -1,0 +1,68 @@
+"""The benchmark harness in bench/ against the package it drives.
+
+bench/ imports names from bryantlab and wraps others by name, so a
+refactor of src/ can break the benchmark without breaking any other
+test.  These checks import the harness, install and remove its span
+wrappers, and run the first job of each kind through its oracle.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+DECLARED = [w["name"] for w in
+            json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """(worker, tracing, workloads) imported from bench/; sys.path is
+    restored afterwards."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    import worker  # imports bryantlab.defaults.thread_cap
+    import workloads
+    return worker, tracing, workloads
+
+
+def test_worker_imports(bench):
+    worker, _, _ = bench
+    assert worker.thread_cap() == 1
+
+
+def test_tracer_wraps_every_traced_name(bench, tmp_path):
+    worker, tracing, workloads = bench
+    originals = [owner.__dict__[attr] for owner, attr, _ in tracing.TRACED]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for (owner, attr, _), original in zip(tracing.TRACED, originals):
+            assert owner.__dict__[attr] is not original
+        two_pole = next(job for job in workloads.build("holonomy", 0, str(tmp_path))
+                        if job.kind == "holonomy.two_pole")
+        _, result = worker.run_job(two_pole, tracer, 0)
+    finally:
+        tracer.uninstall()
+    for (owner, attr, _), original in zip(tracing.TRACED, originals):
+        assert owner.__dict__[attr] is original
+    assert result.ok, result.detail
+    calls, _ = tracer.layer_totals()
+    # one transport per loop of the 8-loop file, one report for the family
+    assert calls["connection.parallel_transport"] == 8
+    assert calls["connection.report_from_matrices"] == 1
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_first_job_of_each_kind_passes(bench, tmp_path, name):
+    worker, _, workloads = bench
+    assert name in workloads.WORKLOADS
+    seen = set()
+    for job in workloads.build(name, 0, str(tmp_path)):
+        if job.kind in seen:
+            continue
+        seen.add(job.kind)
+        _, result = worker.run_job(job)
+        assert result.ok, f"{job.kind} [{job.label}]: {result.detail}"

@@ -122,6 +122,17 @@ class TestSurface:
         assert out.startswith("v ") or "\nv " in out
         assert json.loads(err)["vertices"] == 9
 
+    @pytest.mark.parametrize("flags", [
+        ("--step", "0"), ("--step", "-1"), ("--step", "nan"),
+        ("--radius", "inf"), ("--radius", "0"), ("--center", "nan", "0"),
+        ("--n", "0"),
+    ])
+    def test_invalid_grid_is_input_error(self, capsys, flags):
+        code, out, err = run(capsys, "surface", "horosphere", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: ")
+
 
 @pytest.fixture
 def loop_file(write_json):

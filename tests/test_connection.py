@@ -17,8 +17,7 @@ from bryantlab.connection import (ArcSegment, HiggsField, LineSegment, Path,
                                   PathLoop, cousin_data, det_higgs,
                                   higgs_from_frame, holonomy, ktuy_check,
                                   model_end_field, parallel_transport,
-                                  period_problem, simple_pole_field,
-                                  su2_defects)
+                                  simple_pole_field, su2_defects)
 from bryantlab.defaults import DEFAULTS
 from bryantlab.errors import (NotNull, NotSpecial, PoleTooClose,
                               ToleranceNotMet)
@@ -317,12 +316,20 @@ class TestHolonomy:
         u, d = su2_defects(np.diag([2.0, 0.5]).astype(complex))
         assert u > 1 and d < 1e-12
 
-    def test_period_problem_abelian(self):
-        rep = period_problem(model_end_field(Fraction(1, 4)), [unit_circle()])
+    def test_tolerance_comes_from_controls(self):
+        tight = DEFAULTS.with_(su2_tol=1e-20)
+        rep = holonomy(model_end_field(Fraction(1, 4)), [unit_circle()],
+                       controls=tight)
+        assert rep.tol == 1e-20
+        assert not rep.passes
+
+    def test_commutators_abelian(self):
+        rep = holonomy(model_end_field(Fraction(1, 4)), [unit_circle()],
+                       commutators=True)
         assert rep.passes and rep.abelian
         assert rep.commutator_defects == ()
 
-    def test_period_problem_two_punctures(self):
+    def test_commutators_two_punctures(self):
         q = Fraction(1, 4)
         g0 = LaurentMatrix.diagonal(LaurentPoly.constant(-q), LaurentPoly.constant(q))
         g1 = LaurentMatrix(ZERO, LaurentPoly.constant(-q),
@@ -330,7 +337,7 @@ class TestHolonomy:
         theta = simple_pole_field([(0, g0), (1, g1)])
         loops = [PathLoop.circle(0j, 0.5, base_angle=0.0),
                  PathLoop.circle(1 + 0j, 0.5, base_angle=math.pi)]
-        rep = period_problem(theta, loops)
+        rep = holonomy(theta, loops, commutators=True)
         assert not rep.abelian
         assert rep.commutator_defects[0] > 0.1
         # the individual holonomies are elliptic (trace ~ 0, det 1) but not
@@ -344,8 +351,9 @@ class TestHolonomy:
         assert data["verdict"] == "passes"
         m = data["matrices"][0]
         assert len(m) == 2 and len(m[0]) == 2 and len(m[0][0]) == 2
-        rep2 = period_problem(model_end_field(Fraction(1, 4)),
-                              [unit_circle(), PathLoop.circle(0j, 0.5)])
+        rep2 = holonomy(model_end_field(Fraction(1, 4)),
+                        [unit_circle(), PathLoop.circle(0j, 0.5)],
+                        commutators=True)
         data2 = rep2.to_json()
         assert data2["abelian"] is True
         assert len(data2["commutator_defects"]) == 1

@@ -107,6 +107,26 @@ class TestEval:
         with pytest.raises(PoleAtZero):
             p.eval_exact(GaussianRational(Fraction(0), Fraction(0)))
 
+    def test_eval_exact_large_exponents(self):
+        # (1+i)^2 = 2i, so (1+i)^1500 = (2i)^750 = -2^750
+        z = GaussianRational(Fraction(1), Fraction(1))
+        assert mono(1500).eval_exact(z) == GaussianRational(Fraction(-2 ** 750))
+        assert mono(-1500).eval_exact(z) == GaussianRational(Fraction(-1, 2 ** 750))
+
+    @given(laurent_polys(min_exp=-8, max_exp=8, max_terms=5),
+           gaussian_rationals.filter(lambda z: not z.is_zero))
+    @settings(max_examples=150)
+    def test_eval_exact_matches_term_sum(self, p, z):
+        def power(e):
+            out = GaussianRational(Fraction(1))
+            for _ in range(abs(e)):
+                out = out * z if e > 0 else out / z
+            return out
+        total = GaussianRational()
+        for e, c in p.terms():
+            total = total + c * power(e)
+        assert p.eval_exact(z) == total
+
     @given(laurent_polys(max_terms=3), laurent_polys(max_terms=3),
            st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0,
                               allow_nan=False, allow_infinity=False))
