@@ -7,15 +7,18 @@ bounds.
 
 Exit codes: 0 the check passed (or the report was produced), 1 the check
 failed or a library error was raised, 2 the input could not be parsed.
-Numeric controls all have flags.  Every subcommand runs single-threaded.
+Each subcommand takes only the flags it reads; a NumericControls field is a
+flag of the subcommands that use it.  NumericControls and GridSpec check
+their own values, and a bad one exits 2 before any work starts.  Every
+subcommand runs single-threaded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path as FilePath
 
@@ -34,9 +37,13 @@ class InputError(Exception):
 
 
 def _controls(args: argparse.Namespace) -> NumericControls:
-    return DEFAULTS.with_(step=args.step, rtol=args.rtol, atol=args.atol,
-                          su2_tol=args.su2_tol,
-                          pole_clearance=args.pole_clearance)
+    """DEFAULTS overridden by the control flags this subcommand defines."""
+    given = {f.name: getattr(args, f.name) for f in fields(NumericControls)
+             if hasattr(args, f.name)}
+    try:
+        return DEFAULTS.with_(**given)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _read_json(path: str):
@@ -100,25 +107,16 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if report.is_bryant else EXIT_FAIL
 
 
-def _check_grid(args):
-    if not (math.isfinite(args.step) and args.step > 0):
-        raise InputError(f"--step must be positive and finite, got {args.step!r}")
-    if not (math.isfinite(args.radius) and args.radius > 0):
-        raise InputError(f"--radius must be positive and finite, got {args.radius!r}")
-    if not all(math.isfinite(c) for c in args.center):
-        raise InputError(f"--center must be finite, got {list(args.center)!r}")
-    if args.n < 1:
-        raise InputError(f"--n must be at least 1, got {args.n}")
-
-
 def cmd_surface(args) -> int:
-    _check_grid(args)
+    controls = _controls(args)
+    try:
+        grid = hyperbolic.GridSpec(center=complex(*args.center),
+                                   radius=args.radius, n=args.n)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     matrix, domain = _load_matrix(args.frame)
     frame = frames.BryantFrame(matrix, domain)
-    grid = hyperbolic.GridSpec(center=complex(args.center[0], args.center[1]),
-                               radius=args.radius, n=args.n)
     mesh = hyperbolic.sample_mesh(frame, grid)
-    controls = _controls(args)
 
     def sample(z: complex):
         try:
@@ -149,9 +147,10 @@ def cmd_surface(args) -> int:
 
 
 def cmd_holonomy(args) -> int:
+    controls = _controls(args)
     theta = _load_higgs(args.field)
     loops = _load_loops(args.loops)
-    report = connection.holonomy(theta, loops, _controls(args), commutators=True)
+    report = connection.holonomy(theta, loops, controls, commutators=True)
     _emit(canonical_dumps(report.to_json()), args.out)
     return EXIT_PASS if report.passes else EXIT_FAIL
 
@@ -216,65 +215,59 @@ def cmd_bounds(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--step", type=float, default=DEFAULTS.step,
-                        help="finite-difference step for curvature")
-    shared.add_argument("--rtol", type=float, default=DEFAULTS.rtol)
-    shared.add_argument("--atol", type=float, default=DEFAULTS.atol)
-    shared.add_argument("--su2-tol", dest="su2_tol", type=float,
-                        default=DEFAULTS.su2_tol)
-    shared.add_argument("--pole-clearance", dest="pole_clearance", type=float,
-                        default=DEFAULTS.pole_clearance)
-    shared.add_argument("--out", default=None, help="write the report here")
-    shared.add_argument("--format", choices=("json", "obj", "csv"),
-                        default="json")
+def _control_flags(p: argparse.ArgumentParser, *names: str):
+    """One flag per named NumericControls field, defaulting to DEFAULTS."""
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=float,
+                       default=getattr(DEFAULTS, name))
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bryantlab",
         description="Bryant frames, cmc-1 surfaces, and their period problems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[shared],
-                       help="symbolic det A = 1 and det A' = 0 checks")
-    p.add_argument("frame", help="frame JSON file or catalog name")
-    p.set_defaults(fn=cmd_verify)
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", default=None, help="write the report here")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("surface", parents=[shared],
-                       help="sample a mesh and report curvature")
+    p = command("verify", cmd_verify, "symbolic det A = 1 and det A' = 0 checks")
+    p.add_argument("frame", help="frame JSON file or catalog name")
+
+    p = command("surface", cmd_surface, "sample a mesh and report curvature")
     p.add_argument("frame")
     p.add_argument("--center", type=float, nargs=2, default=(0.0, 0.0))
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--n", type=int, default=10)
-    p.set_defaults(fn=cmd_surface)
+    p.add_argument("--format", choices=("json", "obj"), default="json")
+    _control_flags(p, "step")
 
-    p = sub.add_parser("holonomy", parents=[shared],
-                       help="transport the loop generators and test SU(2)")
+    p = command("holonomy", cmd_holonomy,
+                "transport the loop generators and test SU(2)")
     p.add_argument("field", help="Higgs field JSON file")
     p.add_argument("loops", help="loop file (single loop or {'loops': [...]})")
-    p.set_defaults(fn=cmd_holonomy)
+    _control_flags(p, "rtol", "atol", "su2_tol", "pole_clearance")
 
-    p = sub.add_parser("end", parents=[shared],
-                       help="singular-end report for a frame")
+    p = command("end", cmd_end, "singular-end report for a frame")
     p.add_argument("alpha", help="weight in [0, 1), e.g. 1/2")
     p.add_argument("frame")
-    p.set_defaults(fn=cmd_end)
 
-    p = sub.add_parser("stability", parents=[shared],
-                       help="parabolic stability over a candidate list")
+    p = command("stability", cmd_stability,
+                "parabolic stability over a candidate list")
     p.add_argument("data", help="stability JSON file")
     p.add_argument("--enumerate", dest="enumerate_range", type=int, nargs=2,
                    metavar=("LO", "HI"), default=None,
                    help="ignore the file's candidates and sweep subbundle "
                         "degrees LO..HI with both uniform match patterns")
-    p.set_defaults(fn=cmd_stability)
 
-    p = sub.add_parser("bounds", parents=[shared],
-                       help="existence dimension counts")
+    p = command("bounds", cmd_bounds, "existence dimension counts")
     p.add_argument("genus", type=int)
     p.add_argument("degree", type=int)
     p.add_argument("points", type=int)
-    p.set_defaults(fn=cmd_bounds)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 

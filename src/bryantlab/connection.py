@@ -203,6 +203,11 @@ class LineSegment:
     start: complex
     end: complex
 
+    def __post_init__(self):
+        if not (cmath.isfinite(self.start) and cmath.isfinite(self.end)):
+            raise ValueError(
+                f"line endpoints must be finite, got {self.start!r}, {self.end!r}")
+
     def at(self, t: float) -> complex:
         return self.start + t * (self.end - self.start)
 
@@ -234,6 +239,11 @@ class ArcSegment:
     radius: float
     angle0: float
     angle1: float
+
+    def __post_init__(self):
+        if not all(cmath.isfinite(x) for x in
+                   (self.center, self.radius, self.angle0, self.angle1)):
+            raise ValueError(f"arc data must be finite, got {self!r}")
 
     def at(self, t: float) -> complex:
         ang = self.angle0 + t * (self.angle1 - self.angle0)
@@ -366,7 +376,7 @@ class PathLoop(Path):
                 raise ValueError(f"unknown segment kind {s['kind']!r}")
         loop = cls(tuple(segs))
         base = complex(*data["base"])
-        if abs(loop.base - base) > _CLOSURE_TOL:
+        if not cmath.isfinite(base) or abs(loop.base - base) > _CLOSURE_TOL:
             raise ValueError("declared base does not match the first segment")
         return loop
 
@@ -416,6 +426,9 @@ def _integrate_segment(theta_value: ThetaValue, seg: Segment, y: np.ndarray,
         err_mat = h * sum(e * ki for e, ki in zip(_DP_E, k))
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         err = math.sqrt(float(np.mean(np.abs(err_mat / scale) ** 2)))
+        if not math.isfinite(err):
+            raise ToleranceNotMet(
+                f"non-finite error estimate at t={t:.6f} on {type(seg).__name__}")
         if err <= 1.0:
             t += h
             y = _unimodular(y5)

@@ -2,6 +2,10 @@
 
 Every tolerance or step used by the numerical layer lives here, so a job
 is reproducible from one record.  The exact (rational) layer has no knobs.
+Each field must be positive and finite; NumericControls raises ValueError
+otherwise, so a NaN or a negative tolerance never reaches the integrator.
+Each field is also a flag (--su2-tol for su2_tol) of the CLI subcommand
+that uses it: surface takes --step, holonomy the other four.
 
 ======================  =======  ==============================================
 field                   default  used by
@@ -16,7 +20,8 @@ pole_clearance          1e-3     minimum path distance to any connection pole
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -26,6 +31,13 @@ class NumericControls:
     atol: float = 1e-12
     su2_tol: float = 1e-8
     pole_clearance: float = 1e-3
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{field.name} must be positive and finite, got {value!r}")
 
     def with_(self, **kwargs) -> "NumericControls":
         return replace(self, **kwargs)

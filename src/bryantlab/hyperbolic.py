@@ -29,6 +29,7 @@ which gives H = +1 on the whole catalog.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,8 +59,10 @@ class HermitianPoint:
             raise ValueError("expected a 2x2 matrix")
         if np.linalg.norm(m - m.conj().T) > 1e-12:
             raise ValueError("matrix is not Hermitian within 1e-12")
-        if abs(np.linalg.det(m) - 1.0) > 1e-10:
-            raise ValueError("determinant is not 1 within 1e-10")
+        # relative bound: the roundoff in det grows with the entries squared
+        scale = max(1.0, float(np.linalg.norm(m)) ** 2)
+        if not abs(np.linalg.det(m) - 1.0) <= 1e-10 * scale:
+            raise ValueError("determinant is not 1 within 1e-10 relative")
         if m[0, 0].real <= 0:
             raise ValueError("matrix is not positive definite")
         m.setflags(write=False)
@@ -77,8 +80,8 @@ class MinkowskiPoint:
 
     def __post_init__(self):
         q = self.x0 ** 2 - self.x1 ** 2 - self.x2 ** 2 - self.x3 ** 2
-        if abs(q - 1.0) > 1e-10:
-            raise ValueError(f"Minkowski norm {q!r} is not 1 within 1e-10")
+        if not abs(q - 1.0) <= 1e-10 * max(1.0, self.x0 ** 2):
+            raise ValueError(f"Minkowski norm {q!r} is not 1 within 1e-10 relative")
         if self.x0 <= 0:
             raise ValueError("x0 must be positive")
 
@@ -283,9 +286,12 @@ class GridSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+            raise ValueError(f"n must be at least 1, got {self.n!r}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(
+                f"radius must be positive and finite, got {self.radius!r}")
+        if not cmath.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center!r}")
 
     def points(self) -> list[complex]:
         """Row-major: index j*n + k is row j (imaginary), column k (real)."""
@@ -298,8 +304,8 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class SurfaceMesh:
-    """Quad mesh over a grid; vertices where the immersion has a pole are
-    None and faces touching them are dropped."""
+    """Quad mesh over a grid; vertices outside the frame domain or where
+    the immersion has a pole are None and faces touching them are dropped."""
 
     grid: GridSpec
     vertices: tuple[MinkowskiPoint | None, ...]
@@ -327,9 +333,12 @@ class SurfaceMesh:
 def sample_mesh(frame: BryantFrame, grid: GridSpec) -> SurfaceMesh:
     verts: list[MinkowskiPoint | None] = []
     for z in grid.points():
+        if not frame.domain.contains(z):
+            verts.append(None)
+            continue
         try:
             verts.append(to_minkowski(immerse(frame, z)))
-        except (PoleAtZero, ValueError):
+        except PoleAtZero:
             verts.append(None)
     n = grid.n
     faces = []

@@ -10,7 +10,9 @@ process for speed.
 """
 
 import json
+import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -20,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import bryantlab
-from bryantlab.cli import main
+from bryantlab.cli import _build_parser, main
 from bryantlab.connection import PathLoop, model_end_field
 from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
 
@@ -77,6 +79,19 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "verify horosphere --step -5",
+    "end 0 horosphere --rtol 1",
+    "bounds 0 3 3 --format obj",
+    "surface horosphere --format csv",
+    "surface horosphere --rtol 1",
+])
+def test_flag_the_subcommand_does_not_read_exits_two(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
 
 
 class TestSurface:
@@ -175,6 +190,34 @@ class TestHolonomy:
         loops = write_json("bad.json", data)
         code, _, err = run(capsys, "holonomy", field, loops)
         assert code == 2 and "loop file" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--rtol", "nan"), ("--rtol", "-1"), ("--atol", "0"),
+        ("--su2-tol", "-1"), ("--pole-clearance", "nan"),
+    ])
+    def test_invalid_control_is_input_error(self, capsys, write_json,
+                                            loop_file, flags):
+        field = write_json("quarter.json", model_end_field(Fraction(1, 4)).to_json())
+        loops = loop_file("loops.json", [PathLoop.circle(0j, 1.0)])
+        code, out, err = run(capsys, "holonomy", field, loops, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: ")
+
+    @pytest.mark.parametrize("segments", [
+        [{"kind": "arc", "center": [0.0, 0.0], "radius": math.nan,
+          "angle0": 0.0, "angle1": 2 * math.pi}],
+        [{"kind": "line", "start": [1.0, 0.0], "end": [math.inf, 0.0]},
+         {"kind": "line", "start": [math.inf, 0.0], "end": [1.0, 0.0]}],
+    ], ids=["nan-radius", "line-to-infinity"])
+    def test_non_finite_loop_is_input_error(self, capsys, write_json, segments):
+        # json writes these as the NaN and Infinity literals
+        field = write_json("quarter.json", model_end_field(Fraction(1, 4)).to_json())
+        loops = write_json("loop.json", {"base": [1.0, 0.0], "segments": segments})
+        code, out, err = run(capsys, "holonomy", field, loops)
+        assert code == 2
+        assert out == ""
+        assert "loop file" in err
 
     def test_pole_on_path_is_library_error(self, capsys, write_json, loop_file):
         field = write_json("half.json", model_end_field(Fraction(1, 2)).to_json())
@@ -297,6 +340,18 @@ class TestBounds:
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
+
+
+def test_readme_examples_parse():
+    examples = [shlex.split(line.strip())[1:]
+                for line in README.read_text().splitlines()
+                if line.strip().startswith("bryantlab ")]
+    assert len(examples) >= 10
+    parser = _build_parser()
+    for argv in examples:
+        parser.parse_args(argv)
+
 
 # what a generated console-script wrapper does with its entry point
 WRAPPER = ("import importlib.metadata, sys; "

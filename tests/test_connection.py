@@ -248,6 +248,12 @@ class TestTransport:
             parallel_transport(model_end_field(Fraction(1, 3)), unit_circle(),
                                controls)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_field_raises_instead_of_looping(self):
+        with pytest.raises(ToleranceNotMet):
+            parallel_transport(lambda z: np.full((2, 2), np.nan, complex),
+                               PathLoop.circle(0j, 1.0))
+
     def test_reversal_inverse(self):
         theta = model_end_field(Fraction(1, 3))
         path = Path.polyline([1, 1 + 1j, -1 + 1j, -1 - 0.5j])
@@ -322,6 +328,13 @@ class TestHolonomy:
                        controls=tight)
         assert rep.tol == 1e-20
         assert not rep.passes
+
+    @pytest.mark.parametrize("name", ["step", "rtol", "atol", "su2_tol",
+                                      "pole_clearance"])
+    def test_controls_must_be_positive_and_finite(self, name):
+        for value in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                DEFAULTS.with_(**{name: value})
 
     def test_commutators_abelian(self):
         rep = holonomy(model_end_field(Fraction(1, 4)), [unit_circle()],

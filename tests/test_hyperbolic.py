@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bryantlab.errors import DegenerateMetric
-from bryantlab.frames import Annulus, BryantFrame, catalog
+from bryantlab.frames import CATALOG_NAMES, Annulus, BryantFrame, catalog
 from bryantlab.hyperbolic import (GridSpec, HermitianPoint, MinkowskiPoint,
                                   from_minkowski, hyperbolic_distance, immerse,
                                   mean_curvature, sample_mesh, to_minkowski)
@@ -192,6 +192,23 @@ class TestMesh:
         # center point is the pole: 8 valid vertices, all 4 faces touch it
         assert mesh.valid_vertex_count == 8
         assert len(mesh.faces) == 0
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @pytest.mark.parametrize("radius", [50.0, 1e3, 1e4])
+    def test_far_grid_keeps_every_vertex(self, name, radius):
+        # the entries of f grow like |z|^(2n); det and Minkowski-norm
+        # checks must scale with them, not drop valid vertices
+        mesh = sample_mesh(catalog(name), GridSpec(center=0j, radius=radius, n=10))
+        assert mesh.valid_vertex_count == 100
+        assert len(mesh.faces) == 81
+
+    @pytest.mark.parametrize("kw", [
+        {"n": 0}, {"radius": 0.0}, {"radius": math.inf}, {"radius": math.nan},
+        {"center": complex(math.nan, 0.0)},
+    ])
+    def test_grid_rejects_bad_values(self, kw):
+        with pytest.raises(ValueError):
+            GridSpec(**kw)
 
     def test_grid_row_major(self):
         pts = GridSpec(center=0j, radius=1.0, n=2).points()
