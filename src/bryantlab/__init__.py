@@ -11,8 +11,8 @@ from .connection import (CousinData, HiggsField, HolonomyReport, ArcSegment,
                          ktuy_check, model_end_field, parallel_transport,
                          simple_pole_field)
 from .defaults import DEFAULTS, NumericControls
-from .ends import (LocalParabolicStructure, MeromorphicFramePair, PoloReport,
-                   SingularEnd, end_report, hermitian_pairing, local_parabolic,
+from .ends import (LocalParabolicStructure, PoloReport, SingularEnd,
+                   end_report, hermitian_pairing, local_parabolic,
                    nabla_alpha, omega_alpha, polo_bound_check,
                    residue_parabolic, stareq_residuals, weight_from_holonomy)
 from .errors import (BryantLabError, DegenerateMetric, EmptyCandidateList,
@@ -42,8 +42,8 @@ __all__ = [
     "GaussianRational", "GridSpec", "HermitianPoint", "HiggsField",
     "HolonomyReport", "HypothesisViolated", "LaurentMatrix", "LaurentPoly",
     "LineSegment", "LocalParabolicStructure", "MarkedPoint",
-    "MeromorphicFramePair", "MinkowskiPoint", "NotNull", "NotSpecial",
-    "NotUnitary", "NumericControls", "ParabolicData", "Path", "PathLoop",
+    "MinkowskiPoint", "NotNull", "NotSpecial", "NotUnitary",
+    "NumericControls", "ParabolicData", "Path", "PathLoop",
     "PoleAtZero", "PoleTooClose", "PoloReport", "RationalForm",
     "RegionContainsPole", "RiemannRochCounts", "SingularEnd",
     "StabilityReport", "SubbundleCandidate", "SurfaceMesh",

@@ -162,8 +162,7 @@ def cmd_end(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad weight {args.alpha!r}: {exc}") from exc
     matrix, _ = _load_matrix(args.frame)
-    pair = ends.MeromorphicFramePair.from_matrix(matrix)
-    report = ends.end_report(end, pair)
+    report = ends.end_report(end, matrix)
     _emit(canonical_dumps(report), args.out)
     return EXIT_PASS if report["stareq_pass"] else EXIT_FAIL
 

@@ -29,17 +29,20 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .connection import HiggsField, model_end_field
+from .connection import HiggsField, model_end_field, su2_defects
 from .defaults import DEFAULTS
-from .errors import HypothesisViolated, NotSpecial, NotUnitary, TrivialHolonomy
+from .errors import HypothesisViolated, NotUnitary, TrivialHolonomy
 from .series import GaussianRational, LaurentMatrix, LaurentPoly
 
 _ONE = LaurentPoly.one()
+_MAX_DENOMINATOR = 10 ** 6
+_RECONSTRUCTION_TOL = 1e-9
+_RESIDUE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -73,54 +76,31 @@ def nabla_alpha(end: SingularEnd,
             g.derivative() + g.scale(a).shift(-1))
 
 
-@dataclass(frozen=True)
-class MeromorphicFramePair:
-    """The two column sections s = (a, c), t = (b, d) of a frame."""
-
-    s: tuple[LaurentPoly, LaurentPoly]
-    t: tuple[LaurentPoly, LaurentPoly]
-
-    @classmethod
-    def from_matrix(cls, matrix: LaurentMatrix) -> "MeromorphicFramePair":
-        return cls(s=(matrix.a, matrix.c), t=(matrix.b, matrix.d))
-
-    def as_matrix(self) -> LaurentMatrix:
-        return LaurentMatrix(self.s[0], self.t[0], self.s[1], self.t[1])
-
-    @property
-    def order(self) -> int:
-        return self.as_matrix().max_pole_order()
-
-    def wedge(self) -> LaurentPoly:
-        return self.s[0] * self.t[1] - self.s[1] * self.t[0]
+def omega_alpha(end: SingularEnd, frame: LaurentMatrix) -> LaurentPoly:
+    """Ω_α = ∇_α s ∧ ∇_α t for the columns s = (a, c), t = (b, d) of the frame."""
+    na, nc = nabla_alpha(end, (frame.a, frame.c))
+    nb, nd = nabla_alpha(end, (frame.b, frame.d))
+    return na * nd - nc * nb
 
 
-def _wedge(u: tuple[LaurentPoly, LaurentPoly],
-           v: tuple[LaurentPoly, LaurentPoly]) -> LaurentPoly:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def omega_alpha(end: SingularEnd, pair: MeromorphicFramePair) -> LaurentPoly:
-    """Ω_α = ∇_α s ∧ ∇_α t."""
-    return _wedge(nabla_alpha(end, pair.s), nabla_alpha(end, pair.t))
+def _r2(end: SingularEnd, frame: LaurentMatrix) -> LaurentPoly:
+    """z²(a'd' - b'c') + z α (a'd - a d' + b c' - b'c) - α²."""
+    a, b, c, d = frame.entries
+    da, db, dc, dd = a.derivative(), b.derivative(), c.derivative(), d.derivative()
+    al = GaussianRational.coerce(end.alpha)
+    return ((da * dd - db * dc).shift(2)
+            + (da * d - a * dd + b * dc - db * c).scale(al).shift(1)
+            - LaurentPoly.constant(al * al))
 
 
 def stareq_residuals(end: SingularEnd,
-                     pair: MeromorphicFramePair) -> tuple[LaurentPoly, LaurentPoly]:
-    """(r1, r2) for the end equations; both vanish iff the pair solves them.
+                     frame: LaurentMatrix) -> tuple[LaurentPoly, LaurentPoly]:
+    """(r1, r2) for the end equations; both vanish iff the frame solves them.
 
     r2 is expanded from the matrix entries directly, not derived from
     omega_alpha, so the two agree only when the algebra is right.
     """
-    a, b = pair.s[0], pair.t[0]
-    c, d = pair.s[1], pair.t[1]
-    da, db, dc, dd = a.derivative(), b.derivative(), c.derivative(), d.derivative()
-    al = GaussianRational.coerce(end.alpha)
-    r1 = pair.wedge() - _ONE
-    r2 = ((da * dd - db * dc).shift(2)
-          + (da * d - a * dd + b * dc - db * c).scale(al).shift(1)
-          - LaurentPoly.constant(al * al))
-    return r1, r2
+    return frame.det() - _ONE, _r2(end, frame)
 
 
 @dataclass(frozen=True)
@@ -133,52 +113,55 @@ class PoloReport:
     passes: bool
 
     def to_json(self) -> dict:
-        return {"order_n": self.order_n, "pole_order": self.pole_order,
-                "bound": self.bound, "passes": self.passes}
+        return asdict(self)
 
 
-def polo_bound_check(end: SingularEnd, pair: MeromorphicFramePair) -> PoloReport:
+def polo_bound_check(end: SingularEnd, frame: LaurentMatrix) -> PoloReport:
     """Check pole(Ω_α) <= 2n + 1 (α > 0) or <= 2n (α = 0), n = frame order.
 
     Only stated for n >= 1; the n = 0 case is rejected because constant
     frames already violate it for α > 0.
     """
-    n = pair.order
+    return _pole_bound(end, frame.max_pole_order(), frame.det(),
+                       omega_alpha(end, frame))
+
+
+def _pole_bound(end: SingularEnd, n: int, det: LaurentPoly,
+                omega: LaurentPoly) -> PoloReport:
+    """polo_bound_check from the frame order, s ∧ t = det A and Ω_α."""
     if n < 1:
         raise HypothesisViolated("the pole bound assumes frame order n >= 1")
-    if pair.wedge().pole_order() > 0:
+    if det.pole_order() > 0:
         raise HypothesisViolated("s ∧ t must be pole-free at the puncture")
-    omega = omega_alpha(end, pair)
     pole = omega.pole_order()
     bound = 2 * n + 1 if end.alpha > 0 else 2 * n
     return PoloReport(order_n=n, pole_order=pole, bound=bound,
                       passes=pole <= bound)
 
 
-def weight_from_holonomy(u: np.ndarray, su2_tol: float = DEFAULTS.su2_tol,
-                         max_denominator: int = 10 ** 6,
-                         reconstruction_tol: float = 1e-9) -> Fraction | float:
+def weight_from_holonomy(u: np.ndarray,
+                         su2_tol: float = DEFAULTS.su2_tol) -> Fraction | float:
     """Recover the weight α in [0, 1) from a transport matrix.
 
-    The matrix must be unitary within tolerance; its eigenvalue on the
+    The matrix must be unitary within su2_tol; its eigenvalue on the
     eigenvector closest to e1 (the flag line of the model end) is
     e^{2πiα}, which pins down α without folding α and 1 - α together.
     Returns an exact Fraction when a rational with denominator at most
-    max_denominator reproduces the angle to reconstruction_tol, else the
-    raw float (the return type is the flag).
+    10^6 reproduces the angle to 1e-9, else the raw float (the return
+    type is the flag).
     """
     u = np.asarray(u, dtype=complex)
-    defect = float(np.linalg.norm(u @ u.conj().T - np.eye(2)))
+    defect = su2_defects(u)[0]
     if defect > su2_tol:
         raise NotUnitary(f"unitary defect {defect:.3e} exceeds {su2_tol:.3e}")
     vals, vecs = np.linalg.eig(u)
     first = max(range(len(vals)), key=lambda i: abs(vecs[0, i]))
     value = cmath.phase(vals[first]) % (2 * math.pi) / (2 * math.pi)
-    alpha = Fraction(value).limit_denominator(max_denominator)
+    alpha = Fraction(value).limit_denominator(_MAX_DENOMINATOR)
     if alpha == 1:
         alpha = Fraction(0)
         value = value - 1.0
-    if abs(float(alpha) - value) > reconstruction_tol:
+    if abs(float(alpha) - value) > _RECONSTRUCTION_TOL:
         return value % 1.0
     return alpha
 
@@ -203,20 +186,19 @@ def local_parabolic(end: SingularEnd) -> LocalParabolicStructure:
     return LocalParabolicStructure(weight=end.alpha, flag=(1 + 0j, 0j))
 
 
-def residue_parabolic(gamma: np.ndarray,
-                      tol: float = 1e-10) -> LocalParabolicStructure:
+def residue_parabolic(gamma: np.ndarray) -> LocalParabolicStructure:
     """Parabolic structure of a diagonalizable residue matrix Γ.
 
-    Eigenvalues must be ±α real; the flag is the eigenvector of +α.
+    Eigenvalues must be ±α real to 1e-10; the flag is the eigenvector of +α.
     """
     gamma = np.asarray(gamma, dtype=complex)
     vals, vecs = np.linalg.eig(gamma)
-    if abs(vals[0] + vals[1]) > tol:
+    if abs(vals[0] + vals[1]) > _RESIDUE_TOL:
         raise ValueError("residue is not trace-free")
-    if max(abs(vals[0].imag), abs(vals[1].imag)) > tol:
+    if max(abs(vals[0].imag), abs(vals[1].imag)) > _RESIDUE_TOL:
         raise ValueError("residue eigenvalues are not real")
     alpha = max(vals[0].real, vals[1].real)
-    if alpha <= tol:
+    if alpha <= _RESIDUE_TOL:
         raise TrivialHolonomy("residue has no positive eigenvalue")
     idx = 0 if vals[0].real >= vals[1].real else 1
     v = vecs[:, idx]
@@ -225,7 +207,7 @@ def residue_parabolic(gamma: np.ndarray,
     lead = v[0] if abs(v[0]) >= abs(v[1]) else v[1]
     v = v * (abs(lead) / lead)
     return LocalParabolicStructure(
-        weight=Fraction(float(alpha)).limit_denominator(10 ** 6),
+        weight=Fraction(float(alpha)).limit_denominator(_MAX_DENOMINATOR),
         flag=(complex(v[0]), complex(v[1])))
 
 
@@ -247,17 +229,19 @@ def hermitian_pairing(end: SingularEnd,
     return (w ** a) * f(z) * p(z).conjugate() + (w ** -a) * g(z) * q(z).conjugate()
 
 
-def end_report(end: SingularEnd, pair: MeromorphicFramePair) -> dict:
+def end_report(end: SingularEnd, frame: LaurentMatrix) -> dict:
     """One-stop summary used by the CLI's end subcommand."""
-    r1, r2 = stareq_residuals(end, pair)
-    omega = omega_alpha(end, pair)
+    det = frame.det()
+    omega = omega_alpha(end, frame)
+    n = frame.max_pole_order()
+    r1, r2 = det - _ONE, _r2(end, frame)
     try:
-        polo = polo_bound_check(end, pair).to_json()
+        polo = _pole_bound(end, n, det, omega).to_json()
     except HypothesisViolated as exc:
         polo = {"skipped": str(exc)}
     out = {
         "alpha": [end.alpha.numerator, end.alpha.denominator],
-        "order_n": pair.order,
+        "order_n": n,
         "omega_pole_order": omega.pole_order(),
         "polo_bound": polo,
         "r1": r1.to_json(),

@@ -30,12 +30,19 @@ _ONE = LaurentPoly.one()
 
 @dataclass(frozen=True)
 class Annulus:
-    """Region r_min <= |z| <= r_max about 0; r_max=None means unbounded."""
+    """Region r_min <= |z| <= r_max about 0; r_max=None means unbounded.
+
+    Both bounds must be finite: None is the only way to say unbounded.
+    """
 
     r_min: float = 0.0
     r_max: float | None = None
 
     def __post_init__(self):
+        for name in ("r_min", "r_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.r_min < 0:
             raise ValueError("r_min must be nonnegative")
         if self.r_max is not None and self.r_max < self.r_min:
@@ -142,6 +149,9 @@ def omega_quadratic(matrix: LaurentMatrix) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # branch points
 
+_NEWTON_SWEEPS = 3
+_BRANCH_TOL = 1e-10
+
 
 def _laurent_roots(p: LaurentPoly) -> list[complex]:
     """All zeros of p in C (multiplicity collapsed); 0 included if p(0)=0."""
@@ -160,9 +170,9 @@ def _laurent_roots(p: LaurentPoly) -> list[complex]:
     return roots
 
 
-def _newton_polish(p: LaurentPoly, z: complex, sweeps: int = 3) -> complex:
+def _newton_polish(p: LaurentPoly, z: complex) -> complex:
     dp = p.derivative()
-    for _ in range(sweeps):
+    for _ in range(_NEWTON_SWEEPS):
         if z == 0:
             break
         d = dp(z)
@@ -175,11 +185,11 @@ def _newton_polish(p: LaurentPoly, z: complex, sweeps: int = 3) -> complex:
     return z
 
 
-def branch_points(frame: BryantFrame, region: Annulus, tol: float = 1e-10) -> list[complex]:
+def branch_points(frame: BryantFrame, region: Annulus) -> list[complex]:
     """Common zeros of the four entries of A' inside the region.
 
     Zeros are located per entry by companion-matrix roots plus a Newton
-    polish, then intersected across all nonzero entries within tol.
+    polish, then intersected across all nonzero entries within 1e-10.
     RegionContainsPole is raised when A' has a pole inside the region
     (poles of Laurent entries sit at 0 only).
     """
@@ -194,13 +204,13 @@ def branch_points(frame: BryantFrame, region: Annulus, tol: float = 1e-10) -> li
     candidates = []
     for z in _laurent_roots(nonzero[0]):
         z = _newton_polish(nonzero[0], z)
-        if region.contains(z, slack=tol):
+        if region.contains(z, slack=_BRANCH_TOL):
             candidates.append(z)
 
     found: list[complex] = []
     for z in candidates:
-        if all(abs(p(z)) <= tol for p in nonzero[1:]):
-            if not any(abs(z - w) <= tol for w in found):
+        if all(abs(p(z)) <= _BRANCH_TOL for p in nonzero[1:]):
+            if not any(abs(z - w) <= _BRANCH_TOL for w in found):
                 found.append(z)
     found.sort(key=lambda w: (abs(w), cmath.phase(w)))
     return found

@@ -23,8 +23,9 @@ very end produces the float.  Consequences worth knowing:
   horosphere and shear/affine catalog frames) have zero truncation error
   and come out with H exactly 1.0.
 
-Normal orientation: the unit normal n is fixed by det[f, f_u, f_v, n] > 0,
-which gives H = +1 on the whole catalog.
+Normal orientation: the unit normal n satisfies det[f, f_u, f_v, n] > 0
+by construction, since the normal direction is built from the cofactors of
+(f, f_u, f_v) with that sign; this gives H = +1 on the whole catalog.
 """
 
 from __future__ import annotations
@@ -158,20 +159,13 @@ def _det3(r0, r1, r2) -> Fraction:
             + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
 
 
-def _det4(rows: tuple[Vec4, Vec4, Vec4, Vec4]) -> Fraction:
-    total = Fraction(0)
-    r1, r2, r3 = rows[1], rows[2], rows[3]
-    for k in range(4):
-        cols = [i for i in range(4) if i != k]
-        minor = _det3(tuple(r1[i] for i in cols),
-                      tuple(r2[i] for i in cols),
-                      tuple(r3[i] for i in cols))
-        total += (-1) ** k * rows[0][k] * minor
-    return total
-
-
 def _normal_direction(f: Vec4, fu: Vec4, fv: Vec4) -> Vec4:
-    """Unnormalized Minkowski-orthogonal complement of span{f, f_u, f_v}."""
+    """Unnormalized Minkowski-orthogonal complement of span{f, f_u, f_v}.
+
+    The result n is minus the Minkowski-raised cofactor vector of
+    (f, f_u, f_v), so det[f, f_u, f_v, n] = -<n, n> = q exactly: a
+    spacelike n (q > 0) is positively oriented.
+    """
     eta = [(x[0], -x[1], -x[2], -x[3]) for x in (f, fu, fv)]
     m = []
     for k in range(4):
@@ -179,7 +173,7 @@ def _normal_direction(f: Vec4, fu: Vec4, fv: Vec4) -> Vec4:
         minor = _det3(tuple(eta[0][i] for i in cols),
                       tuple(eta[1][i] for i in cols),
                       tuple(eta[2][i] for i in cols))
-        m.append((-1) ** k * minor)
+        m.append((-1) ** (k + 1) * minor)
     return tuple(m)
 
 
@@ -233,8 +227,6 @@ def _curvature_exact(frame: BryantFrame, u: Fraction, v: Fraction,
     q = -_mink(m, m)
     if q <= 0:
         raise DegenerateMetric(f"no spacelike normal at {z!r}")
-    if _det4((c00, fu, fv, m)) < 0:
-        m = tuple(-x for x in m)
 
     # II with the unnormalized normal; the sqrt(q) normalization is folded
     # into the final float so everything stays rational until then
@@ -250,27 +242,20 @@ def _curvature_exact(frame: BryantFrame, u: Fraction, v: Fraction,
     return CurvatureSample(z=z, H=H, first_form=first, second_form=second)
 
 
-def mean_curvature(frame: BryantFrame, z: complex, step: float = DEFAULTS.step,
-                   richardson: bool = False) -> CurvatureSample:
+def mean_curvature(frame: BryantFrame, z: complex,
+                   step: float = DEFAULTS.step) -> CurvatureSample:
     """Mean curvature H at z from a central stencil of width 2*step.
 
-    The sample point must stay clear of branch points and matrix poles by
-    more than the stencil width; a stencil point landing exactly on a pole
-    raises PoleAtZero, a singular metric raises DegenerateMetric.  With
-    ``richardson`` the step and half-step values are combined to cancel
-    the leading error term.
+    The step must be positive and finite.  The sample point must stay
+    clear of branch points and matrix poles by more than the stencil width;
+    a stencil point landing exactly on a pole raises PoleAtZero, a singular
+    metric raises DegenerateMetric.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     z = complex(z)
     u, v, h = Fraction(z.real), Fraction(z.imag), Fraction(float(step))
-    sample = _curvature_exact(frame, u, v, h, z)
-    if not richardson:
-        return sample
-    finer = _curvature_exact(frame, u, v, h / 2, z)
-    return CurvatureSample(z=z, H=(4 * finer.H - sample.H) / 3,
-                           first_form=finer.first_form,
-                           second_form=finer.second_form)
+    return _curvature_exact(frame, u, v, h, z)
 
 
 # ---------------------------------------------------------------------------

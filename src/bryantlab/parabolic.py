@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -162,9 +162,7 @@ class RiemannRochCounts:
     globally_generated: bool
 
     def to_json(self) -> dict:
-        return {"h0_L": self.h0_L, "h0_L2": self.h0_L2,
-                "h0_EndL": self.h0_EndL, "h1_vanishes": self.h1_vanishes,
-                "globally_generated": self.globally_generated}
+        return asdict(self)
 
 
 def riemann_roch_counts(genus: int, degree: int, point_count: int,
@@ -214,11 +212,7 @@ class BoundsReport:
     hypothesis_met: bool
 
     def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "genus", "degree", "point_count", "required_d",
-            "dim_grassmannian", "dim_quot", "dim_family_lower",
-            "dim_special_lower", "rank_r", "dim_moduli_lower",
-            "hypothesis_met")}
+        return asdict(self)
 
 
 def existence_bounds(genus: int, degree: int, point_count: int) -> BoundsReport:
@@ -256,10 +250,7 @@ def bounds_table(rows: Sequence[tuple[int, int, int]]) -> list[BoundsReport]:
     return [existence_bounds(g, d, dp) for g, d, dp in rows]
 
 
-_CSV_FIELDS = ("genus", "degree", "point_count", "required_d",
-               "dim_grassmannian", "dim_quot", "dim_family_lower",
-               "dim_special_lower", "rank_r", "dim_moduli_lower",
-               "hypothesis_met")
+_CSV_FIELDS = tuple(f.name for f in fields(BoundsReport))
 
 
 def bounds_csv(reports: Sequence[BoundsReport]) -> str:

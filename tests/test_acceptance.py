@@ -18,9 +18,8 @@ from bryantlab.connection import (HiggsField, PathLoop, Path, cousin_data,
                                   det_higgs, higgs_from_frame, holonomy,
                                   ktuy_check, model_end_field,
                                   parallel_transport, simple_pole_field)
-from bryantlab.ends import (MeromorphicFramePair, SingularEnd, omega_alpha,
-                            polo_bound_check, stareq_residuals,
-                            weight_from_holonomy)
+from bryantlab.ends import (SingularEnd, omega_alpha, polo_bound_check,
+                            stareq_residuals, weight_from_holonomy)
 from bryantlab.frames import CATALOG_NAMES, catalog, check_bryant
 from bryantlab.hyperbolic import GridSpec, mean_curvature
 from bryantlab.parabolic import (MarkedPoint, ParabolicData,
@@ -186,9 +185,8 @@ def test_criterion_06_pole_bound():
     failures = []
     checked = 0
     for i, m in enumerate(_order_corpus()):
-        pair = MeromorphicFramePair.from_matrix(m)
         for alpha in _WEIGHTS:
-            rep = polo_bound_check(SingularEnd(alpha), pair)
+            rep = polo_bound_check(SingularEnd(alpha), m)
             checked += 1
             if not rep.passes:
                 failures.append(
@@ -203,14 +201,13 @@ def test_criterion_07_stareq_matches_wedge():
     failures = []
     checked = 0
     for i, m in enumerate(_order_corpus()):
-        pair = MeromorphicFramePair.from_matrix(m)
         for alpha in _WEIGHTS:
             end = SingularEnd(alpha)
-            r1, r2 = stareq_residuals(end, pair)
+            r1, r2 = stareq_residuals(end, m)
             checked += 1
             if not r1.is_zero:
                 failures.append(f"frame {i}: r1 != 0 on a unit-det frame")
-            if r2 != omega_alpha(end, pair).shift(2):
+            if r2 != omega_alpha(end, m).shift(2):
                 failures.append(f"frame {i}, alpha={alpha}: r2 != z^2 Omega")
     report(7, not failures,
            f"{checked} exact identities r2 = z^2 Omega_alpha with r1 = 0",

@@ -12,10 +12,12 @@ process for speed.
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -144,6 +146,14 @@ class TestSurface:
     ])
     def test_invalid_grid_is_input_error(self, capsys, flags):
         code, out, err = run(capsys, "surface", "horosphere", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: ")
+
+    def test_non_finite_domain_is_input_error(self, capsys, frame_file):
+        path = frame_file("nan_domain.json", LaurentMatrix.identity(),
+                          domain={"r_min": math.nan, "r_max": math.nan})
+        code, out, err = run(capsys, "surface", path, "--n", "2")
         assert code == 2
         assert out == ""
         assert err.startswith("input error: ")
@@ -351,6 +361,15 @@ def test_readme_examples_parse():
     parser = _build_parser()
     for argv in examples:
         parser.parse_args(argv)
+
+
+def test_readme_python_examples_run(capsys):
+    blocks = re.findall(r"^( *)```python\n(.*?)^\1```", README.read_text(),
+                        flags=re.M | re.S)
+    assert len(blocks) >= 2
+    for _, code in blocks:
+        exec(compile(textwrap.dedent(code), "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("genus,degree,point_count,")
 
 
 # what a generated console-script wrapper does with its entry point

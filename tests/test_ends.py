@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from bryantlab import ends
 from bryantlab.connection import parallel_transport, PathLoop, model_end_field
-from bryantlab.ends import (MeromorphicFramePair, SingularEnd, end_report,
-                            hermitian_pairing, local_parabolic, nabla_alpha,
-                            omega_alpha, polo_bound_check, residue_parabolic,
+from bryantlab.ends import (SingularEnd, end_report, hermitian_pairing,
+                            local_parabolic, nabla_alpha, omega_alpha,
+                            polo_bound_check, residue_parabolic,
                             stareq_residuals, weight_from_holonomy)
 from bryantlab.errors import (HypothesisViolated, NotUnitary, TrivialHolonomy)
 from bryantlab.frames import catalog, omega_quadratic
@@ -28,13 +29,9 @@ def end(n, d=1):
     return SingularEnd(Fraction(n, d))
 
 
-def pair_of(matrix):
-    return MeromorphicFramePair.from_matrix(matrix)
-
-
-DIAG_UP = pair_of(LaurentMatrix.diagonal(Z, ZINV))      # a = z, d = 1/z
-DIAG_DOWN = pair_of(LaurentMatrix.diagonal(ZINV, Z))    # a = 1/z, d = z
-IDENTITY = pair_of(LaurentMatrix.identity())
+DIAG_UP = LaurentMatrix.diagonal(Z, ZINV)     # a = z, d = 1/z
+DIAG_DOWN = LaurentMatrix.diagonal(ZINV, Z)   # a = 1/z, d = z
+IDENTITY = LaurentMatrix.identity()
 
 
 class TestSingularEnd:
@@ -94,7 +91,7 @@ class TestOmegaAlpha:
     @settings(max_examples=100, deadline=None)
     def test_weightless_is_quadratic_form(self, m):
         # at α = 0 the wedge of plain derivatives is det A'
-        assert omega_alpha(end(0), pair_of(m)) == omega_quadratic(m)
+        assert omega_alpha(end(0), m) == omega_quadratic(m)
 
 
 class TestStareq:
@@ -118,9 +115,9 @@ class TestStareq:
     @settings(max_examples=100, deadline=None)
     def test_r2_is_shifted_wedge_on_unit_frames(self, m):
         alpha = Fraction(1, 3)
-        r1, r2 = stareq_residuals(SingularEnd(alpha), pair_of(m))
+        r1, r2 = stareq_residuals(SingularEnd(alpha), m)
         assert r1.is_zero
-        assert r2 == omega_alpha(SingularEnd(alpha), pair_of(m)).shift(2)
+        assert r2 == omega_alpha(SingularEnd(alpha), m).shift(2)
 
 
 class TestPoloBound:
@@ -139,7 +136,7 @@ class TestPoloBound:
             polo_bound_check(end(1, 2), IDENTITY)
 
     def test_wedge_pole_rejected(self):
-        bad = pair_of(LaurentMatrix.diagonal(ZINV, ONE))
+        bad = LaurentMatrix.diagonal(ZINV, ONE)
         with pytest.raises(HypothesisViolated):
             polo_bound_check(end(1, 2), bad)
 
@@ -236,7 +233,7 @@ class TestHermitianPairing:
 
 class TestEndReport:
     def test_horosphere_half(self):
-        rep = end_report(end(1, 2), pair_of(catalog("horosphere").matrix))
+        rep = end_report(end(1, 2), catalog("horosphere").matrix)
         assert rep["alpha"] == [1, 2]
         assert rep["order_n"] == 0
         assert "skipped" in rep["polo_bound"]
@@ -245,7 +242,7 @@ class TestEndReport:
         assert rep["parabolic"]["weight"] == [1, 2]
 
     def test_horosphere_weightless(self):
-        rep = end_report(end(0), pair_of(catalog("horosphere").matrix))
+        rep = end_report(end(0), catalog("horosphere").matrix)
         assert rep["stareq_pass"] is True
         assert "parabolic" not in rep
 
@@ -256,3 +253,27 @@ class TestEndReport:
         assert set(rep) == {"alpha", "order_n", "omega_pole_order",
                             "polo_bound", "r1", "r2", "stareq_pass",
                             "r2_matches_omega", "parabolic"}
+
+    @pytest.mark.parametrize("frame", [DIAG_UP, IDENTITY])
+    def test_det_and_omega_formed_once(self, monkeypatch, frame):
+        calls = {"det": 0, "omega": 0}
+        det, omega = LaurentMatrix.det, ends.omega_alpha
+
+        def counted_det(m):
+            calls["det"] += 1
+            return det(m)
+
+        def counted_omega(e, m):
+            calls["omega"] += 1
+            return omega(e, m)
+
+        monkeypatch.setattr(LaurentMatrix, "det", counted_det)
+        monkeypatch.setattr(ends, "omega_alpha", counted_omega)
+        rep = end_report(end(1, 2), frame)
+        assert calls == {"det": 1, "omega": 1}
+        monkeypatch.undo()
+        try:
+            expected = polo_bound_check(end(1, 2), frame).to_json()
+        except HypothesisViolated as exc:
+            expected = {"skipped": str(exc)}
+        assert rep["polo_bound"] == expected

@@ -1,6 +1,8 @@
 """Frame verification: expansion oracles first, then the catalog and
 randomized special frames."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 
@@ -140,6 +142,14 @@ class TestFrameTypes:
             Annulus(-1.0, 2.0)
         with pytest.raises(ValueError):
             Annulus(2.0, 1.0)
+
+    @pytest.mark.parametrize("r_min, r_max", [
+        (math.nan, math.nan), (0.0, math.nan), (math.inf, None),
+        (0.0, math.inf),
+    ])
+    def test_annulus_rejects_non_finite_bounds(self, r_min, r_max):
+        with pytest.raises(ValueError):
+            Annulus(r_min, r_max)
 
     def test_annulus_contains(self):
         ring = Annulus(0.5, 2.0)

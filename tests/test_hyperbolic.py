@@ -6,6 +6,7 @@ at H = 1.0 exactly; the degree-4 cusp frame shows the genuine second-order
 step dependence.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,14 +18,27 @@ from hypothesis import strategies as st
 from bryantlab.errors import DegenerateMetric
 from bryantlab.frames import CATALOG_NAMES, Annulus, BryantFrame, catalog
 from bryantlab.hyperbolic import (GridSpec, HermitianPoint, MinkowskiPoint,
-                                  from_minkowski, hyperbolic_distance, immerse,
-                                  mean_curvature, sample_mesh, to_minkowski)
+                                  _mink, _normal_direction, from_minkowski,
+                                  hyperbolic_distance, immerse, mean_curvature,
+                                  sample_mesh, to_minkowski)
 from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
 
 ONE = LaurentPoly.one()
 Z = LaurentPoly.z()
 
 coords = st.floats(min_value=-3, max_value=3, allow_nan=False)
+
+
+def _leibniz_det(rows):
+    """Exact 4x4 determinant by the Leibniz formula."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, k in enumerate(perm):
+            term *= rows[i][k]
+        total += term
+    return total
 
 
 class TestImmerse:
@@ -155,12 +169,20 @@ class TestMeanCurvature:
         assert e1 > 0
         assert 3.0 < e1 / e2 < 5.0
 
-    def test_richardson_beats_plain(self):
-        f = catalog("cusp-degree2")
-        z = 0.5 + 0.25j
-        plain = abs(mean_curvature(f, z, step=0.02).H - 1.0)
-        rich = abs(mean_curvature(f, z, step=0.02, richardson=True).H - 1.0)
-        assert rich < plain / 10
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError):
+            mean_curvature(catalog("horosphere"), 0.3 + 0.2j, step=step)
+
+    @given(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=16),
+                    min_size=12, max_size=12))
+    @settings(max_examples=50)
+    def test_normal_is_positively_oriented(self, xs):
+        # det[f, f_u, f_v, n] = -<n, n> exactly, so a spacelike normal
+        # needs no orientation flip
+        f, fu, fv = (tuple(xs[i:i + 4]) for i in (0, 4, 8))
+        n = _normal_direction(f, fu, fv)
+        assert _leibniz_det((f, fu, fv, n)) == -_mink(n, n)
 
     def test_forms_shape(self):
         s = mean_curvature(catalog("horosphere"), 0.2 + 0.1j, step=1e-3)
