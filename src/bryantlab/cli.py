@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands wrap the library one-to-one: verify (symbolic frame checks),
-surface (OBJ export plus a curvature summary), holonomy (connection.holonomy
-with commutators over a loop file), end (singular-end report), stability,
-bounds.
+surface (OBJ export plus a curvature summary), holonomy (transport each
+loop of a loop file around a Higgs field and report its SU(2) and
+commutator defects), end (singular-end report), stability, bounds.
 
 Exit codes: 0 the check passed (or the report was produced), 1 the check
 failed or a library error was raised, 2 the input could not be parsed.
@@ -150,7 +150,7 @@ def cmd_holonomy(args) -> int:
     controls = _controls(args)
     theta = _load_higgs(args.field)
     loops = _load_loops(args.loops)
-    report = connection.holonomy(theta, loops, controls, commutators=True)
+    report = connection.holonomy(theta, loops, controls)
     _emit(canonical_dumps(report.to_json()), args.out)
     return EXIT_PASS if report.passes else EXIT_FAIL
 

@@ -26,13 +26,13 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .defaults import DEFAULTS, NumericControls
 from .errors import NotNull, NotSpecial, PoleTooClose, ToleranceNotMet
-from .frames import BryantFrame
+from .frames import BryantFrame, laurent_roots
 from .series import (CoeffLike, GaussianRational, LaurentMatrix, LaurentPoly)
 
 _ONE = LaurentPoly.one()
@@ -69,21 +69,11 @@ class HiggsField:
 
 
 def _pole_set(num: LaurentMatrix, den: LaurentPoly) -> tuple[complex, ...]:
-    poles: list[complex] = []
     entry_val = min((p.valuation() for p in num.entries if not p.is_zero),
                     default=0)
-    den_val = den.valuation() or 0
-    if entry_val - den_val < 0:
-        poles.append(0j)
+    poles = [0j] if entry_val < den.valuation() else []
     # nonzero roots of den: strip the z^v factor first so 0 never leaks in
-    hi = den.degree()
-    lo = den.valuation()
-    coeffs = [den.coeff(e).to_complex() for e in range(hi, lo - 1, -1)]
-    if len(coeffs) > 1:
-        for r in np.roots(coeffs):
-            z = complex(r)
-            if not any(abs(z - w) < 1e-12 for w in poles):
-                poles.append(z)
+    poles += laurent_roots(den.shift(-den.valuation()))
     return tuple(sorted(poles, key=lambda w: (abs(w), w.real, w.imag)))
 
 
@@ -402,18 +392,16 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 _MIN_STEP = 1e-12
 _SAFETY = 0.9
 
-ThetaValue = Callable[[complex], np.ndarray]
-
 
 def _unimodular(y: np.ndarray) -> np.ndarray:
     det = y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0]
     return y / cmath.sqrt(det)
 
 
-def _integrate_segment(theta_value: ThetaValue, seg: Segment, y: np.ndarray,
+def _integrate_segment(theta: HiggsField, seg: Segment, y: np.ndarray,
                        rtol: float, atol: float) -> np.ndarray:
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        return -(theta_value(seg.at(t)) * seg.velocity(t)) @ state
+        return -(theta.value(seg.at(t)) * seg.velocity(t)) @ state
 
     t, h = 0.0, 0.1
     while t < 1.0:
@@ -440,22 +428,15 @@ def _integrate_segment(theta_value: ThetaValue, seg: Segment, y: np.ndarray,
     return y
 
 
-def parallel_transport(theta: Union[HiggsField, ThetaValue], path: Path,
-                       controls: NumericControls = DEFAULTS,
-                       poles: Iterable[complex] | None = None) -> np.ndarray:
+def parallel_transport(theta: HiggsField, path: Path,
+                       controls: NumericControls = DEFAULTS) -> np.ndarray:
     """Y(1) for dY = -Θ(z) dz Y along the path, Y(0) = I.
 
-    The path must keep distance >= pole_clearance from every pole; poles
-    are taken from the field, or passed explicitly for a bare callable.
+    The path must keep distance >= pole_clearance from every pole of the
+    field (PoleTooClose otherwise).
     """
-    if isinstance(theta, HiggsField):
-        value: ThetaValue = theta.value
-        pole_list = theta.poles if poles is None else tuple(poles)
-    else:
-        value = theta
-        pole_list = tuple(poles or ())
     for seg in path.segments:
-        for p in pole_list:
+        for p in theta.poles:
             d = seg.min_distance(p)
             if d < controls.pole_clearance * (1 - 1e-12):
                 raise PoleTooClose(
@@ -463,7 +444,7 @@ def parallel_transport(theta: Union[HiggsField, ThetaValue], path: Path,
                     f"(clearance {controls.pole_clearance:.3e})")
     y = np.eye(2, dtype=complex)
     for seg in path.segments:
-        y = _integrate_segment(value, seg, y, controls.rtol, controls.atol)
+        y = _integrate_segment(theta, seg, y, controls.rtol, controls.atol)
     return y
 
 
@@ -475,8 +456,10 @@ class HolonomyReport:
     """Generator holonomies with their SU(2) defects.
 
     unitary_defects are ||U U* - I||_F, det_defects are |det U - 1|;
-    the report passes when every defect is within tolerance.  The
-    commutator fields are filled only when holonomy is asked for them.
+    the report passes when every defect is within tolerance.
+    commutator_defects are ||U V U^{-1} V^{-1} - I||_F over each pair of
+    generators, and the group they span is abelian when every one of them
+    is within tolerance.
     """
 
     matrices: tuple[np.ndarray, ...]
@@ -484,26 +467,24 @@ class HolonomyReport:
     det_defects: tuple[float, ...]
     passes: bool
     tol: float
-    commutator_defects: tuple[float, ...] | None = None
-    abelian: bool | None = None
+    commutator_defects: tuple[float, ...]
+    abelian: bool
 
     @property
     def verdict(self) -> str:
         return "passes" if self.passes else "fails"
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "matrices": [[[ [x.real, x.imag] for x in row] for row in m.tolist()]
                          for m in self.matrices],
             "unitary_defects": list(self.unitary_defects),
             "det_defects": list(self.det_defects),
             "verdict": self.verdict,
             "tol": self.tol,
+            "commutator_defects": list(self.commutator_defects),
+            "abelian": self.abelian,
         }
-        if self.commutator_defects is not None:
-            out["commutator_defects"] = list(self.commutator_defects)
-            out["abelian"] = self.abelian
-        return out
 
 
 def su2_defects(u: np.ndarray) -> tuple[float, float]:
@@ -518,39 +499,31 @@ def _inv2(u: np.ndarray) -> np.ndarray:
     return np.array([[u[1, 1], -u[0, 1]], [-u[1, 0], u[0, 0]]]) / det
 
 
-def report_from_matrices(mats: Sequence[np.ndarray], su2_tol: float,
-                         commutators: bool = False) -> HolonomyReport:
+def report_from_matrices(mats: Sequence[np.ndarray],
+                         su2_tol: float) -> HolonomyReport:
     """Assemble a HolonomyReport from already-transported generators."""
     mats = tuple(np.asarray(m, dtype=complex) for m in mats)
     defects = [su2_defects(u) for u in mats]
     unitary = tuple(d[0] for d in defects)
     det = tuple(d[1] for d in defects)
     passes = all(u <= su2_tol for u in unitary) and all(d <= su2_tol for d in det)
-    comm: tuple[float, ...] | None = None
-    abelian: bool | None = None
-    if commutators:
-        pair_defects = []
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                c = mats[i] @ mats[j] @ _inv2(mats[i]) @ _inv2(mats[j])
-                pair_defects.append(float(np.linalg.norm(c - np.eye(2))))
-        comm = tuple(pair_defects)
-        abelian = all(d <= su2_tol for d in pair_defects)
+    pair_defects = []
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            c = mats[i] @ mats[j] @ _inv2(mats[i]) @ _inv2(mats[j])
+            pair_defects.append(float(np.linalg.norm(c - np.eye(2))))
     return HolonomyReport(matrices=mats, unitary_defects=unitary,
                           det_defects=det, passes=passes, tol=su2_tol,
-                          commutator_defects=comm, abelian=abelian)
+                          commutator_defects=tuple(pair_defects),
+                          abelian=all(d <= su2_tol for d in pair_defects))
 
 
-def holonomy(theta: Union[HiggsField, ThetaValue], loops: Sequence[PathLoop],
-             controls: NumericControls = DEFAULTS,
-             poles: Iterable[complex] | None = None,
-             commutators: bool = False) -> HolonomyReport:
+def holonomy(theta: HiggsField, loops: Sequence[PathLoop],
+             controls: NumericControls = DEFAULTS) -> HolonomyReport:
     """Transport every generator loop and check the results against SU(2).
 
-    Every defect is judged against ``controls.su2_tol``.  With
-    ``commutators`` the report also holds the commutator defect
-    ||U V U^{-1} V^{-1} - I||_F of each pair of generators, and the group
-    they span is reported abelian when every pairwise defect is within tol.
+    Every defect is judged against ``controls.su2_tol``; the report also
+    holds the commutator defect of each pair of generators.
     """
-    mats = tuple(parallel_transport(theta, lp, controls, poles) for lp in loops)
-    return report_from_matrices(mats, controls.su2_tol, commutators)
+    mats = tuple(parallel_transport(theta, lp, controls) for lp in loops)
+    return report_from_matrices(mats, controls.su2_tol)

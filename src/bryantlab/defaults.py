@@ -1,7 +1,10 @@
-"""Central table of numeric controls.
+"""The numeric controls a user tunes.
 
-Every tolerance or step used by the numerical layer lives here, so a job
-is reproducible from one record.  The exact (rational) layer has no knobs.
+NumericControls holds every tolerance and step a user may set, so a job
+is reproducible from one record.  Fixed thresholds that no user tunes
+(path closure, root matching, the integrator's minimum step, the
+Hermitian and Minkowski point checks) are private constants or literals
+next to their single user.  The exact (rational) layer has no knobs.
 Each field must be positive and finite; NumericControls raises ValueError
 otherwise, so a NaN or a negative tolerance never reaches the integrator.
 Each field is also a flag (--su2-tol for su2_tol) of the CLI subcommand

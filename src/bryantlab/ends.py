@@ -139,11 +139,11 @@ def _pole_bound(end: SingularEnd, n: int, det: LaurentPoly,
                       passes=pole <= bound)
 
 
-def weight_from_holonomy(u: np.ndarray,
-                         su2_tol: float = DEFAULTS.su2_tol) -> Fraction | float:
+def weight_from_holonomy(u: np.ndarray) -> Fraction | float:
     """Recover the weight α in [0, 1) from a transport matrix.
 
-    The matrix must be unitary within su2_tol; its eigenvalue on the
+    The matrix must be unitary within DEFAULTS.su2_tol (NotUnitary
+    otherwise, also for a NaN entry); its eigenvalue on the
     eigenvector closest to e1 (the flag line of the model end) is
     e^{2πiα}, which pins down α without folding α and 1 - α together.
     Returns an exact Fraction when a rational with denominator at most
@@ -152,8 +152,9 @@ def weight_from_holonomy(u: np.ndarray,
     """
     u = np.asarray(u, dtype=complex)
     defect = su2_defects(u)[0]
-    if defect > su2_tol:
-        raise NotUnitary(f"unitary defect {defect:.3e} exceeds {su2_tol:.3e}")
+    tol = DEFAULTS.su2_tol
+    if not defect <= tol:
+        raise NotUnitary(f"unitary defect {defect:.3e} exceeds {tol:.3e}")
     vals, vecs = np.linalg.eig(u)
     first = max(range(len(vals)), key=lambda i: abs(vecs[0, i]))
     value = cmath.phase(vals[first]) % (2 * math.pi) / (2 * math.pi)
@@ -189,9 +190,12 @@ def local_parabolic(end: SingularEnd) -> LocalParabolicStructure:
 def residue_parabolic(gamma: np.ndarray) -> LocalParabolicStructure:
     """Parabolic structure of a diagonalizable residue matrix Γ.
 
-    Eigenvalues must be ±α real to 1e-10; the flag is the eigenvector of +α.
+    Entries must be finite and eigenvalues ±α real to 1e-10; the flag is
+    the eigenvector of +α.
     """
     gamma = np.asarray(gamma, dtype=complex)
+    if not np.isfinite(gamma).all():
+        raise ValueError("residue has a non-finite entry")
     vals, vecs = np.linalg.eig(gamma)
     if abs(vals[0] + vals[1]) > _RESIDUE_TOL:
         raise ValueError("residue is not trace-free")

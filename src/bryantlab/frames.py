@@ -153,8 +153,12 @@ _NEWTON_SWEEPS = 3
 _BRANCH_TOL = 1e-10
 
 
-def _laurent_roots(p: LaurentPoly) -> list[complex]:
-    """All zeros of p in C (multiplicity collapsed); 0 included if p(0)=0."""
+def laurent_roots(p: LaurentPoly) -> list[complex]:
+    """The zeros of p in C, as np.roots lists them.
+
+    A nonzero root appears once per multiplicity, each copy perturbed by
+    roundoff; 0 appears once, whatever its multiplicity, when p(0) = 0.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial has no isolated roots")
     lo = p.valuation()
@@ -202,7 +206,7 @@ def branch_points(frame: BryantFrame, region: Annulus) -> list[complex]:
         raise RegionContainsPole("derivative has a pole at 0 inside the region")
 
     candidates = []
-    for z in _laurent_roots(nonzero[0]):
+    for z in laurent_roots(nonzero[0]):
         z = _newton_polish(nonzero[0], z)
         if region.contains(z, slack=_BRANCH_TOL):
             candidates.append(z)

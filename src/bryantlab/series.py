@@ -8,8 +8,7 @@ pole-order bounds) be decided with == instead of thresholds.
 
 Representation: a polynomial is a map {exponent: coefficient} holding no
 zero coefficients; the empty map is the zero polynomial.  All values here
-are immutable; every operation returns a fresh object, so sharing across
-threads is safe.
+are immutable; every operation returns a fresh object.
 
 Serialization: ``to_json``/``from_json`` use rationals printed as
 decimal-free strings ("3/4", "-2"), terms sorted by exponent, so that
@@ -55,11 +54,6 @@ class GaussianRational:
         if isinstance(x, GaussianRational):
             return x
         return cls(_as_fraction(x))
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "GaussianRational":
-        """Exact dyadic image of an IEEE complex number."""
-        return cls(Fraction(float(z.real)), Fraction(float(z.imag)))
 
     # -- ring operations --------------------------------------------------
 

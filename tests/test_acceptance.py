@@ -252,7 +252,7 @@ def test_criterion_09_period_discrimination():
     theta = simple_pole_field([(0, g0), (1, g1)])
     loops = [PathLoop.circle(0j, 0.5, base_angle=0.0),
              PathLoop.circle(1 + 0j, 0.5, base_angle=math.pi)]
-    two = holonomy(theta, loops, commutators=True)
+    two = holonomy(theta, loops)
     if two.abelian or two.commutator_defects[0] <= 0.1:
         failures.append(f"two-puncture configuration: commutator defect "
                         f"{two.commutator_defects[0]:.2e}, expected > 0.1")

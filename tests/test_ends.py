@@ -165,6 +165,10 @@ class TestWeightRecovery:
         with pytest.raises(NotUnitary):
             weight_from_holonomy(np.diag([2.0, 0.5]).astype(complex))
 
+    def test_nan_is_not_unitary(self):
+        with pytest.raises(NotUnitary):
+            weight_from_holonomy(np.full((2, 2), np.nan))
+
     def test_near_zero_angle_falls_back_to_float(self):
         # best fraction with denominator <= 1e6 is 0, off by 2e-9 > 1e-9
         theta = 2e-9
@@ -212,6 +216,12 @@ class TestParabolicStructures:
             residue_parabolic(np.array([[0, 1], [-1, 0]], dtype=complex))
         with pytest.raises(TrivialHolonomy):
             residue_parabolic(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_residue_non_finite(self, bad):
+        # numpy's LinAlgError is a ValueError too, so match the message
+        with pytest.raises(ValueError, match="non-finite"):
+            residue_parabolic(np.full((2, 2), bad))
 
 
 class TestHermitianPairing:
