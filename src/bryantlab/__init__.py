@@ -16,9 +16,10 @@ from .ends import (LocalParabolicStructure, PoloReport, SingularEnd,
                    nabla_alpha, omega_alpha, polo_bound_check,
                    residue_parabolic, stareq_residuals, weight_from_holonomy)
 from .errors import (BryantLabError, DegenerateMetric, EmptyCandidateList,
-                     HypothesisViolated, NotNull, NotSpecial, NotUnitary,
-                     PoleAtZero, PoleTooClose, RegionContainsPole,
-                     ToleranceNotMet, TrivialHolonomy, UnknownName)
+                     HypothesisViolated, NotNull, NotRepresentable,
+                     NotSpecial, NotUnitary, PoleAtZero, PoleTooClose,
+                     RegionContainsPole, ToleranceNotMet, TrivialHolonomy,
+                     UnknownName)
 from .frames import (Annulus, BryantFrame, FrameReport, CATALOG_NAMES,
                      branch_points, catalog, check_bryant, check_special,
                      omega_quadratic)
@@ -42,8 +43,8 @@ __all__ = [
     "GaussianRational", "GridSpec", "HermitianPoint", "HiggsField",
     "HolonomyReport", "HypothesisViolated", "LaurentMatrix", "LaurentPoly",
     "LineSegment", "LocalParabolicStructure", "MarkedPoint",
-    "MinkowskiPoint", "NotNull", "NotSpecial", "NotUnitary",
-    "NumericControls", "ParabolicData", "Path", "PathLoop",
+    "MinkowskiPoint", "NotNull", "NotRepresentable", "NotSpecial",
+    "NotUnitary", "NumericControls", "ParabolicData", "Path", "PathLoop",
     "PoleAtZero", "PoleTooClose", "PoloReport", "RationalForm",
     "RegionContainsPole", "RiemannRochCounts", "SingularEnd",
     "StabilityReport", "SubbundleCandidate", "SurfaceMesh",

@@ -404,27 +404,30 @@ def _integrate_segment(theta: HiggsField, seg: Segment, y: np.ndarray,
         return -(theta.value(seg.at(t)) * seg.velocity(t)) @ state
 
     t, h = 0.0, 0.1
-    while t < 1.0:
-        h = min(h, 1.0 - t)
-        k = [rhs(t, y)]
-        for i in range(1, 7):
-            acc = sum((a * ki for a, ki in zip(_DP_A[i], k)), start=np.zeros((2, 2), complex))
-            k.append(rhs(t + _DP_C[i] * h, y + h * acc))
-        y5 = y + h * sum(a * ki for a, ki in zip(_DP_A[6], k))
-        err_mat = h * sum(e * ki for e, ki in zip(_DP_E, k))
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = math.sqrt(float(np.mean(np.abs(err_mat / scale) ** 2)))
-        if not math.isfinite(err):
-            raise ToleranceNotMet(
-                f"non-finite error estimate at t={t:.6f} on {type(seg).__name__}")
-        if err <= 1.0:
-            t += h
-            y = _unimodular(y5)
-        factor = _SAFETY * err ** -0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        if h < _MIN_STEP and t < 1.0:
-            raise ToleranceNotMet(
-                f"step underflow at t={t:.6f} on {type(seg).__name__}")
+    # an overflow in the stages shows up as a non-finite error estimate,
+    # which raises below; numpy need not warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < 1.0:
+            h = min(h, 1.0 - t)
+            k = [rhs(t, y)]
+            for i in range(1, 7):
+                acc = sum((a * ki for a, ki in zip(_DP_A[i], k)), start=np.zeros((2, 2), complex))
+                k.append(rhs(t + _DP_C[i] * h, y + h * acc))
+            y5 = y + h * sum(a * ki for a, ki in zip(_DP_A[6], k))
+            err_mat = h * sum(e * ki for e, ki in zip(_DP_E, k))
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+            err = math.sqrt(float(np.mean(np.abs(err_mat / scale) ** 2)))
+            if not math.isfinite(err):
+                raise ToleranceNotMet(
+                    f"non-finite error estimate at t={t:.6f} on {type(seg).__name__}")
+            if err <= 1.0:
+                t += h
+                y = _unimodular(y5)
+            factor = _SAFETY * err ** -0.2 if err > 0 else 5.0
+            h *= min(5.0, max(0.2, factor))
+            if h < _MIN_STEP and t < 1.0:
+                raise ToleranceNotMet(
+                    f"step underflow at t={t:.6f} on {type(seg).__name__}")
     return y
 
 

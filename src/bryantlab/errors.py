@@ -56,5 +56,9 @@ class HypothesisViolated(BryantLabError):
     """Input violates a stated hypothesis (e.g. s∧t has a pole at 0)."""
 
 
+class NotRepresentable(BryantLabError):
+    """An exact value is too large to convert to a double."""
+
+
 class EmptyCandidateList(BryantLabError):
     """A stability verdict was requested with no candidate sub-bundles."""

@@ -11,11 +11,17 @@ Curvature is measured extrinsically: first and second fundamental forms of
 embedding, with the ambient covariant derivative obtained from the flat
 one by projecting along the hyperboloid normal (the position vector).
 
-The finite differences are evaluated in exact rational arithmetic: an IEEE
-double is a dyadic rational, so the sample point and the step convert
-exactly, and the whole stencil, both fundamental forms, the Minkowski
-normal and the shape-operator trace stay in Q.  One square root at the
-very end produces the float.  Consequences worth knowing:
+The finite differences are evaluated exactly, on Python integers: an
+IEEE double is a dyadic rational, so the sample point and the step are
+n/2^k exactly and all nine stencil points are W/2^k with W a Gaussian
+integer.  Clearing the frame's coefficient denominators once (their lcm
+L) and the pole at 0 (a factor z^-lo), Horner's rule on W gives each
+embedding as an integer 4-vector over 2·L²·2^{2k·hi}·|W|^{-2lo}; the nine
+are brought to one denominator, and the stencil differences, both
+fundamental forms, the Minkowski normal and the shape-operator trace are
+integers times known scale factors.  Each float is then one correctly
+rounded integer division, and one square root at the very end produces
+H.  Consequences worth knowing:
 
 * there is no roundoff floor: the error in H is purely the O(step^2)
   truncation of the stencil, so halving the step reliably quarters it;
@@ -33,16 +39,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .defaults import DEFAULTS
 from .errors import DegenerateMetric, PoleAtZero
 from .frames import BryantFrame
-from .series import GaussianRational
 
-Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
+Vec4 = tuple[int, int, int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -131,29 +135,11 @@ def hyperbolic_distance(p: HermitianPoint, q: HermitianPoint) -> float:
 # ---------------------------------------------------------------------------
 # exact finite-difference machinery
 
-def _embed_exact(frame: BryantFrame, u: Fraction, v: Fraction) -> Vec4:
-    """Minkowski coordinates of A(u+iv)·A(u+iv)*, exact."""
-    (a, b), (c, d) = frame.matrix.eval_exact(GaussianRational(u, v))
-    f00 = a.norm_sq() + b.norm_sq()
-    f11 = c.norm_sq() + d.norm_sq()
-    f01 = a * c.conjugate() + b * d.conjugate()
-    two = Fraction(2)
-    return ((f00 + f11) / two, f01.re, f01.im, (f00 - f11) / two)
-
-
-def _mink(x: Vec4, y: Vec4) -> Fraction:
+def _mink(x: Vec4, y: Vec4) -> int:
     return x[0] * y[0] - x[1] * y[1] - x[2] * y[2] - x[3] * y[3]
 
 
-def _lin(*pairs) -> Vec4:
-    out = [Fraction(0)] * 4
-    for coeff, vec in pairs:
-        for i in range(4):
-            out[i] += coeff * vec[i]
-    return tuple(out)
-
-
-def _det3(r0, r1, r2) -> Fraction:
+def _det3(r0, r1, r2) -> int:
     return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
             - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
             + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
@@ -164,7 +150,8 @@ def _normal_direction(f: Vec4, fu: Vec4, fv: Vec4) -> Vec4:
 
     The result n is minus the Minkowski-raised cofactor vector of
     (f, f_u, f_v), so det[f, f_u, f_v, n] = -<n, n> = q exactly: a
-    spacelike n (q > 0) is positively oriented.
+    spacelike n (q > 0) is positively oriented.  Like _mink and _det3 it
+    only adds and multiplies, so it is exact on ints and on Fractions.
     """
     eta = [(x[0], -x[1], -x[2], -x[3]) for x in (f, fu, fv)]
     m = []
@@ -193,34 +180,94 @@ class CurvatureSample:
         }
 
 
-def _curvature_exact(frame: BryantFrame, u: Fraction, v: Fraction,
-                     h: Fraction, z: complex) -> CurvatureSample:
-    F = _embed_exact
-    c00 = F(frame, u, v)
-    cpu = F(frame, u + h, v)
-    cmu = F(frame, u - h, v)
-    cpv = F(frame, u, v + h)
-    cmv = F(frame, u, v - h)
-    cpp = F(frame, u + h, v + h)
-    cpm = F(frame, u + h, v - h)
-    cmp_ = F(frame, u - h, v + h)
-    cmm = F(frame, u - h, v - h)
+def _dyadic(x: float) -> tuple[int, int]:
+    """(n, e) with x = n / 2^e exactly."""
+    n, d = x.as_integer_ratio()
+    return n, d.bit_length() - 1
 
-    half, quarter = Fraction(1, 2), Fraction(1, 4)
-    fu = _lin((half / h, cpu), (-half / h, cmu))
-    fv = _lin((half / h, cpv), (-half / h, cmv))
-    h2 = h * h
-    fuu = _lin((1 / h2, cpu), (-2 / h2, c00), (1 / h2, cmu))
-    fvv = _lin((1 / h2, cpv), (-2 / h2, c00), (1 / h2, cmv))
-    fuv = _lin((quarter / h2, cpp), (-quarter / h2, cpm),
-               (-quarter / h2, cmp_), (quarter / h2, cmm))
+
+def _horner_table(frame: BryantFrame, k: int):
+    """Gaussian-integer Horner coefficients of the frame at scale 2^-k.
+
+    Returns (lo, hi, L, table).  With W = 2^k·z, entry e of the frame is
+    z^lo·P_e(W) / (L·2^{k(hi-lo)}), where the polynomial P_e has the
+    coefficients table[e] as (re, im) pairs, highest power first, and L
+    is the lcm of all coefficient denominators.  det A = 1 forces
+    lo <= 0 <= hi; the min and max with 0 keep z^-lo·A a polynomial anyway.
+    """
+    terms = [list(p.terms()) for p in frame.matrix.entries]
+    exps = [e for t in terms for e, _ in t]
+    lo, hi = min([0, *exps]), max([0, *exps])
+    den = math.lcm(*(x.denominator for t in terms for _, c in t
+                     for x in (c.re, c.im)))
+    table = []
+    for t in terms:
+        row = [(0, 0)] * (hi - lo + 1)
+        for e, c in t:
+            shift = k * (hi - e)
+            row[hi - e] = (c.re.numerator * (den // c.re.denominator) << shift,
+                           c.im.numerator * (den // c.im.denominator) << shift)
+        table.append(row)
+    return lo, hi, den, table
+
+
+def _horner(row, re_w: int, im_w: int) -> tuple[int, int]:
+    re, im = row[0]
+    for cr, ci in row[1:]:
+        re, im = re * re_w - im * im_w + cr, re * im_w + im * re_w + ci
+    return re, im
+
+
+def _embed_numerator(table, re_w: int, im_w: int) -> Vec4:
+    """Minkowski coordinates of A·A* at z = W/2^k, times 2·L²·2^{2k·hi}·|W|^{-2lo}."""
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = (_horner(row, re_w, im_w)
+                                              for row in table)
+    f00 = ar * ar + ai * ai + br * br + bi * bi
+    f11 = cr * cr + ci * ci + dr * dr + di * di
+    f01_re = ar * cr + ai * ci + br * dr + bi * di
+    f01_im = ai * cr - ar * ci + bi * dr - br * di
+    return (f00 + f11, 2 * f01_re, 2 * f01_im, f00 - f11)
+
+
+# stencil offsets (du, dv) in units of the step, in the unpacking order below
+_STENCIL = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
+            (1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _curvature_exact(frame: BryantFrame, z: complex, step: float) -> CurvatureSample:
+    # the sample point and the step are dyadic, hence so is the stencil:
+    # its points are W/2^k with W = u + du·h + i(v + dv·h) in ints
+    (u, eu), (v, ev), (h, eh) = _dyadic(z.real), _dyadic(z.imag), _dyadic(step)
+    k = max(eu, ev, eh)
+    u, v, h = u << (k - eu), v << (k - ev), h << (k - eh)
+    lo, hi, den, table = _horner_table(frame, k)
+
+    points = [(u + du * h, v + dv * h) for du, dv in _STENCIL]
+    if lo < 0 and (0, 0) in points:
+        raise PoleAtZero(f"the stencil at {z!r} reaches the pole at 0")
+    # the embedding at W_j is X_j / (D0·g_j) with D0 = 2·L²·2^{2k·hi} and
+    # g_j = |W_j|^{-2lo}; scale all nine to the one denominator D0·lcm(g)
+    g = [(re * re + im * im) ** -lo for re, im in points]
+    g_all = math.lcm(*g)
+    c00, cpu, cmu, cpv, cmv, cpp, cpm, cmp_, cmm = (
+        tuple(x * (g_all // gj) for x in _embed_numerator(table, *w))
+        for w, gj in zip(points, g))
+    d = (2 * den * den * g_all) << (2 * k * hi)
+
+    # with f = X/d and the step h/2^k, f_u = fu·2^k/(2hd), likewise f_v,
+    # and f_uu = fuu·2^{2k}/(4h²d), likewise f_vv and f_uv
+    fu = tuple(a - b for a, b in zip(cpu, cmu))
+    fv = tuple(a - b for a, b in zip(cpv, cmv))
+    fuu = tuple(4 * (a - 2 * b + c) for a, b, c in zip(cpu, c00, cmu))
+    fvv = tuple(4 * (a - 2 * b + c) for a, b, c in zip(cpv, c00, cmv))
+    fuv = tuple(a - b - c + e for a, b, c, e in zip(cpp, cpm, cmp_, cmm))
 
     # first fundamental form: minus the Minkowski restriction (tangent
     # vectors to the hyperboloid are timelike-negative in this signature)
     i00, i01, i11 = -_mink(fu, fu), -_mink(fu, fv), -_mink(fv, fv)
     det_i = i00 * i11 - i01 * i01
     gram = i00 * i11
-    if gram == 0 or det_i <= 0 or det_i / gram < Fraction(1, 10 ** 18):
+    if gram == 0 or det_i <= 0 or det_i * 10 ** 18 < gram:
         raise DegenerateMetric(f"first fundamental form singular at {z!r}")
 
     m = _normal_direction(c00, fu, fv)
@@ -229,16 +276,24 @@ def _curvature_exact(frame: BryantFrame, u: Fraction, v: Fraction,
         raise DegenerateMetric(f"no spacelike normal at {z!r}")
 
     # II with the unnormalized normal; the sqrt(q) normalization is folded
-    # into the final float so everything stays rational until then
+    # into the final float so everything stays exact until then
     j00, j01, j11 = (-_mink(fuu, m), -_mink(fuv, m), -_mink(fvv, m))
-
     t_num = i11 * j00 - 2 * i01 * j01 + i00 * j11
-    ratio = (t_num * t_num) / (4 * det_i * det_i * q)
-    H = math.copysign(math.sqrt(float(ratio)), float(t_num))
 
-    sq = math.sqrt(float(q))
-    first = np.array([[float(i00), float(i01)], [float(i01), float(i11)]])
-    second = np.array([[float(j00), float(j01)], [float(j01), float(j11)]]) / sq
+    # true values, with p = (2hd)²: I is i·2^{2k}/p, q is q·2^{4k}/(pd)²
+    # and II is j·2^{4k}/p²; in H = t/(2·det I·sqrt q) the scales cancel
+    # to d.  Each float is one int/int true division, which is correctly
+    # rounded.
+    p = (2 * h * d) ** 2
+    ratio = (t_num * t_num * d * d) / (4 * det_i * det_i * q)
+    H = math.copysign(math.sqrt(ratio), 1 if t_num >= 0 else -1)
+
+    sq = math.sqrt((q << 4 * k) / (p * d) ** 2)
+    first = np.array([[(i00 << 2 * k) / p, (i01 << 2 * k) / p],
+                      [(i01 << 2 * k) / p, (i11 << 2 * k) / p]])
+    p2 = p * p
+    second = np.array([[(j00 << 4 * k) / p2, (j01 << 4 * k) / p2],
+                       [(j01 << 4 * k) / p2, (j11 << 4 * k) / p2]]) / sq
     return CurvatureSample(z=z, H=H, first_form=first, second_form=second)
 
 
@@ -253,9 +308,7 @@ def mean_curvature(frame: BryantFrame, z: complex,
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive and finite, got {step!r}")
-    z = complex(z)
-    u, v, h = Fraction(z.real), Fraction(z.imag), Fraction(float(step))
-    return _curvature_exact(frame, u, v, h, z)
+    return _curvature_exact(frame, complex(z), float(step))
 
 
 # ---------------------------------------------------------------------------

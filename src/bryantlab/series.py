@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
-from .errors import PoleAtZero
+from .errors import NotRepresentable, PoleAtZero
 
 RationalLike = Union[int, Fraction]
 CoeffLike = Union[int, Fraction, "GaussianRational"]
@@ -105,7 +105,11 @@ class GaussianRational:
         return not self.is_zero
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        """Nearest complex double; NotRepresentable if a part overflows."""
+        try:
+            return complex(self.re, self.im)
+        except OverflowError:
+            raise NotRepresentable(f"{self!r} exceeds the double range") from None
 
     def __repr__(self) -> str:
         if self.im == 0:

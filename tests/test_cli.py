@@ -193,6 +193,15 @@ class TestHolonomy:
         code, data, _ = run_json(capsys, "holonomy", field, loop)
         assert code == 0 and len(data["matrices"]) == 1
 
+    def test_coefficient_beyond_double_is_one_line(self, capsys, write_json,
+                                                   loop_file):
+        field = write_json("huge.json",
+                           model_end_field(Fraction(10 ** 400)).to_json())
+        loops = loop_file("loops.json", [PathLoop.circle(0j, 1.0)])
+        code, out, err = run(capsys, "holonomy", field, loops)
+        assert code == 1 and out == ""
+        assert err.startswith("NotRepresentable: -1000") and err.count("\n") == 1
+
     def test_bad_loop_kind(self, capsys, write_json):
         field = write_json("zero.json", model_end_field(Fraction(0)).to_json())
         data = PathLoop.circle(0j, 1.0).to_json()

@@ -1,13 +1,16 @@
 """Immersion, model conversions, curvature, meshes.
 
-The curvature engine evaluates its stencil in exact rational arithmetic,
-so frames whose Minkowski embedding is quadratic in (u, v) must come out
-at H = 1.0 exactly; the degree-4 cusp frame shows the genuine second-order
-step dependence.
+The curvature engine evaluates its stencil exactly, on integers scaled
+to one common denominator, so frames whose Minkowski embedding is
+quadratic in (u, v) must come out at H = 1.0 exactly; the degree-4 cusp
+frame shows the genuine second-order step dependence.  A plain Fraction
+stencil kept here is the reference the integer kernel must match bit for
+bit.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,13 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bryantlab.errors import DegenerateMetric
+from bryantlab.errors import DegenerateMetric, PoleAtZero
 from bryantlab.frames import CATALOG_NAMES, Annulus, BryantFrame, catalog
 from bryantlab.hyperbolic import (GridSpec, HermitianPoint, MinkowskiPoint,
                                   _mink, _normal_direction, from_minkowski,
                                   hyperbolic_distance, immerse, mean_curvature,
                                   sample_mesh, to_minkowski)
 from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
+from conftest import seeded_coeff
 
 ONE = LaurentPoly.one()
 Z = LaurentPoly.z()
@@ -39,6 +43,93 @@ def _leibniz_det(rows):
             term *= rows[i][k]
         total += term
     return total
+
+
+def _reference_curvature(frame, z, step):
+    """(H, first_form, second_form) from a plain Fraction stencil.
+
+    Every intermediate is a reduced Fraction and each float comes from
+    float(Fraction); the kernel in hyperbolic.py must agree exactly.
+    """
+    def embed(u, v):
+        (a, b), (c, d) = frame.matrix.eval_exact(GaussianRational(u, v))
+        f00 = a.norm_sq() + b.norm_sq()
+        f11 = c.norm_sq() + d.norm_sq()
+        f01 = a * c.conjugate() + b * d.conjugate()
+        return ((f00 + f11) / 2, f01.re, f01.im, (f00 - f11) / 2)
+
+    def lin(*pairs):
+        return tuple(sum(k * x[i] for k, x in pairs) for i in range(4))
+
+    u, v, h = Fraction(z.real), Fraction(z.imag), Fraction(step)
+    c = {(du, dv): embed(u + du * h, v + dv * h)
+         for du in (-1, 0, 1) for dv in (-1, 0, 1)}
+    fu = lin((1 / (2 * h), c[1, 0]), (-1 / (2 * h), c[-1, 0]))
+    fv = lin((1 / (2 * h), c[0, 1]), (-1 / (2 * h), c[0, -1]))
+    h2 = h * h
+    fuu = lin((1 / h2, c[1, 0]), (-2 / h2, c[0, 0]), (1 / h2, c[-1, 0]))
+    fvv = lin((1 / h2, c[0, 1]), (-2 / h2, c[0, 0]), (1 / h2, c[0, -1]))
+    fuv = lin((1 / (4 * h2), c[1, 1]), (-1 / (4 * h2), c[1, -1]),
+              (-1 / (4 * h2), c[-1, 1]), (1 / (4 * h2), c[-1, -1]))
+    i00, i01, i11 = -_mink(fu, fu), -_mink(fu, fv), -_mink(fv, fv)
+    det_i = i00 * i11 - i01 * i01
+    if i00 * i11 == 0 or det_i <= 0 or det_i / (i00 * i11) < Fraction(1, 10 ** 18):
+        raise DegenerateMetric("first form")
+    m = _normal_direction(c[0, 0], fu, fv)
+    q = -_mink(m, m)
+    if q <= 0:
+        raise DegenerateMetric("normal")
+    j00, j01, j11 = -_mink(fuu, m), -_mink(fuv, m), -_mink(fvv, m)
+    t = i11 * j00 - 2 * i01 * j01 + i00 * j11
+    H = math.copysign(math.sqrt(float(t * t / (4 * det_i * det_i * q))), float(t))
+    first = [[float(i00), float(i01)], [float(i01), float(i11)]]
+    sq = math.sqrt(float(q))
+    second = (np.array([[float(j00), float(j01)], [float(j01), float(j11)]]) / sq)
+    return H, first, second.tolist()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DegenerateMetric, PoleAtZero) as exc:
+        return type(exc)
+
+
+def _kernel(frame, z, step):
+    s = mean_curvature(frame, z, step)
+    return s.H, s.first_form.tolist(), s.second_form.tolist()
+
+
+def _unipotent(p, upper):
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    return (LaurentMatrix(one, p, zero, one) if upper
+            else LaurentMatrix(one, zero, p, one))
+
+
+def _seeded_bryant(rng, lo, hi):
+    """P·[[1,p],[0,1]]·Q with constant unipotent products P, Q; det A' = 0."""
+    c = [LaurentPoly.constant(seeded_coeff(rng)) for _ in range(4)]
+    p = LaurentPoly({e: seeded_coeff(rng) for e in range(lo, hi + 1)})
+    return BryantFrame(_unipotent(c[0], True) @ _unipotent(c[1], False)
+                       @ _unipotent(p, True)
+                       @ _unipotent(c[2], False) @ _unipotent(c[3], True))
+
+
+def _curvature_corpus():
+    """(label, frame, z, step): catalog and seeded frames of degree 3..9 at
+    radii 1 and 50, a Laurent frame with exponents -3..3, a stencil that
+    reaches that frame's pole, and the cusp's branch point."""
+    rng = random.Random(2024)
+    frames = [(name, catalog(name)) for name in CATALOG_NAMES]
+    frames += [(f"degree {d}", _seeded_bryant(rng, 0, d)) for d in range(3, 10)]
+    laurent = _seeded_bryant(rng, -3, 3)
+    for step in (1e-2, 1e-4, 1e-6):
+        for label, frame in frames:
+            for r in (1.0, 50.0):
+                yield label, frame, r * complex(0.37, -0.24), step
+        yield "laurent", laurent, 1.5 + 0.2j, step
+        yield "laurent at the pole", laurent, complex(step, 0.0), step
+    yield "cusp branch point", catalog("cusp-degree2"), 0j, 1e-3
 
 
 class TestImmerse:
@@ -151,7 +242,7 @@ class TestMeanCurvature:
         assert abs(s.H - 1.0) <= 1e-4
 
     def test_quadratic_embeddings_exact(self):
-        # degree <= 1 frames embed quadratically; the rational stencil then
+        # degree <= 1 frames embed quadratically; the exact stencil then
         # differentiates them exactly and the float creeps in only at the
         # final square root
         for name in ("horosphere", "lower-shear", "affine-null"):
@@ -183,6 +274,16 @@ class TestMeanCurvature:
         f, fu, fv = (tuple(xs[i:i + 4]) for i in (0, 4, 8))
         n = _normal_direction(f, fu, fv)
         assert _leibniz_det((f, fu, fv, n)) == -_mink(n, n)
+
+    def test_matches_fraction_reference(self):
+        seen = set()
+        for label, frame, z, step in _curvature_corpus():
+            got = _outcome(_kernel, frame, z, step)
+            want = _outcome(_reference_curvature, frame, z, step)
+            assert got == want, (label, z, step)
+            seen.add(got if isinstance(got, type) else tuple)
+        # the corpus reaches both error branches as well as samples
+        assert seen == {tuple, PoleAtZero, DegenerateMetric}
 
     def test_forms_shape(self):
         s = mean_curvature(catalog("horosphere"), 0.2 + 0.1j, step=1e-3)

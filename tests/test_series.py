@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bryantlab.errors import PoleAtZero
+from bryantlab.errors import NotRepresentable, PoleAtZero
 from bryantlab.series import (GaussianRational, LaurentMatrix, LaurentPoly,
                               canonical_dumps)
 from conftest import gaussian_rationals, laurent_matrices, laurent_polys
@@ -27,6 +27,11 @@ class TestGaussianRational:
         assert (a + b) - b == a
         assert (a * b) / b == a
         assert a * a.conjugate() == GaussianRational(a.norm_sq(), Fraction(0))
+
+    def test_to_complex_beyond_double(self):
+        assert GaussianRational(Fraction(3, 4), Fraction(-1, 2)).to_complex() == 0.75 - 0.5j
+        with pytest.raises(NotRepresentable, match="10000"):
+            GaussianRational(Fraction(1), Fraction(10 ** 400)).to_complex()
 
     def test_division_oracle(self):
         # (1+i)/(1-i) = i
