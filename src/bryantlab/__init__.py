@@ -23,10 +23,9 @@ from .errors import (BryantLabError, DegenerateMetric, EmptyCandidateList,
 from .frames import (Annulus, BryantFrame, FrameReport, CATALOG_NAMES,
                      branch_points, catalog, check_bryant, check_special,
                      omega_quadratic)
-from .hyperbolic import (CurvatureSample, GridSpec, HermitianPoint,
-                         MinkowskiPoint, SurfaceMesh, from_minkowski,
-                         hyperbolic_distance, immerse, mean_curvature,
-                         sample_mesh, to_minkowski)
+from .hyperbolic import (CurvatureSample, GridSpec, MinkowskiPoint,
+                         SurfaceMesh, hyperbolic_distance, immerse,
+                         mean_curvature, sample_mesh)
 from .parabolic import (BoundsReport, MarkedPoint, ParabolicData,
                         RiemannRochCounts, StabilityReport,
                         SubbundleCandidate, bounds_csv, bounds_table,
@@ -40,8 +39,8 @@ __all__ = [
     "Annulus", "ArcSegment", "BoundsReport", "BryantFrame", "BryantLabError",
     "CATALOG_NAMES", "CousinData", "CurvatureSample", "DEFAULTS",
     "DegenerateMetric", "EmptyCandidateList", "FrameReport",
-    "GaussianRational", "GridSpec", "HermitianPoint", "HiggsField",
-    "HolonomyReport", "HypothesisViolated", "LaurentMatrix", "LaurentPoly",
+    "GaussianRational", "GridSpec", "HiggsField", "HolonomyReport",
+    "HypothesisViolated", "LaurentMatrix", "LaurentPoly",
     "LineSegment", "LocalParabolicStructure", "MarkedPoint",
     "MinkowskiPoint", "NotNull", "NotRepresentable", "NotSpecial",
     "NotUnitary", "NumericControls", "ParabolicData", "Path", "PathLoop",
@@ -51,12 +50,11 @@ __all__ = [
     "ToleranceNotMet", "TrivialHolonomy", "UnknownName", "bounds_csv",
     "bounds_table", "branch_points", "canonical_dumps", "catalog",
     "check_bryant", "check_special", "cousin_data", "det_higgs",
-    "end_report", "existence_bounds", "from_minkowski", "hermitian_pairing",
+    "end_report", "existence_bounds", "hermitian_pairing",
     "higgs_from_frame", "holonomy", "hyperbolic_distance", "immerse",
     "ktuy_check", "local_parabolic", "mean_curvature", "model_end_field",
     "nabla_alpha", "omega_alpha", "parabolic_degree", "parallel_transport",
     "polo_bound_check", "residue_parabolic",
     "riemann_roch_counts", "sample_mesh", "simple_pole_field",
-    "stability_verdict", "stareq_residuals", "to_minkowski",
-    "weight_from_holonomy",
+    "stability_verdict", "stareq_residuals", "weight_from_holonomy",
 ]

@@ -24,7 +24,8 @@ from pathlib import Path as FilePath
 
 from . import connection, ends, frames, hyperbolic, parabolic
 from .defaults import DEFAULTS, NumericControls
-from .errors import BryantLabError, DegenerateMetric, PoleAtZero
+from .errors import (BryantLabError, DegenerateMetric, NotRepresentable,
+                     PoleAtZero)
 from .series import LaurentMatrix, canonical_dumps
 
 EXIT_PASS = 0
@@ -122,7 +123,7 @@ def cmd_surface(args) -> int:
         try:
             s = hyperbolic.mean_curvature(frame, z, step=controls.step)
             return {"z": [z.real, z.imag], "H": s.H}
-        except (DegenerateMetric, PoleAtZero) as exc:
+        except (DegenerateMetric, PoleAtZero, NotRepresentable) as exc:
             return {"z": [z.real, z.imag], "error": type(exc).__name__}
 
     samples = [sample(z) for z in grid.points()]

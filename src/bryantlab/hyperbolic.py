@@ -1,27 +1,29 @@
 """Immersion into hyperbolic 3-space and numerical surface geometry.
 
-The model is the space of positive Hermitian 2x2 matrices of determinant
-one: a frame A maps z to f(z) = A(z)A(z)*.  Writing
-f = [[x0+x3, x1+i x2], [x1-i x2, x0-x3]] identifies such matrices with the
-hyperboloid x0^2 - x1^2 - x2^2 - x3^2 = 1, x0 > 0, in Minkowski 4-space,
-and (x1, x2, x3)/(1 + x0) projects onto the Poincare unit ball.
+Points are hyperboloid points x0^2 - x1^2 - x2^2 - x3^2 = 1, x0 > 0, in
+Minkowski 4-space; (x1, x2, x3)/(1 + x0) projects onto the Poincare unit
+ball.  A frame A maps z to f(z) = A(z)A(z)*, a positive Hermitian 2x2
+matrix of determinant one, and f = [[x0+x3, x1+i x2], [x1-i x2, x0-x3]]
+identifies it with the point x.  immerse evaluates f exactly, by the
+integer arithmetic below, and rounds each coordinate once.
 
 Curvature is measured extrinsically: first and second fundamental forms of
 (u, v) -> f(u + iv) by central finite differences of the Minkowski
 embedding, with the ambient covariant derivative obtained from the flat
 one by projecting along the hyperboloid normal (the position vector).
 
-The finite differences are evaluated exactly, on Python integers: an
-IEEE double is a dyadic rational, so the sample point and the step are
-n/2^k exactly and all nine stencil points are W/2^k with W a Gaussian
-integer.  Clearing the frame's coefficient denominators once (their lcm
-L) and the pole at 0 (a factor z^-lo), Horner's rule on W gives each
-embedding as an integer 4-vector over 2·L²·2^{2k·hi}·|W|^{-2lo}; the nine
-are brought to one denominator, and the stencil differences, both
-fundamental forms, the Minkowski normal and the shape-operator trace are
-integers times known scale factors.  Each float is then one correctly
-rounded integer division, and one square root at the very end produces
-H.  Consequences worth knowing:
+The embedding and the finite differences are evaluated exactly, on
+Python integers: an IEEE double is a dyadic rational, so the sample point
+and the step are n/2^k exactly and all nine stencil points are W/2^k
+with W a Gaussian integer.  Clearing the frame's coefficient denominators
+once (their lcm L) and the pole at 0 (a factor z^-lo), Horner's rule on
+W gives each embedding as an integer 4-vector over
+2·L²·2^{2k·hi}·|W|^{-2lo}; the nine are brought to one denominator, and
+the stencil differences, both fundamental forms, the Minkowski normal and
+the shape-operator trace are integers times known scale factors.  Each
+float is then one correctly rounded integer division, and one square root
+at the very end produces H; a float beyond the double range raises
+NotRepresentable.  Consequences worth knowing:
 
 * there is no roundoff floor: the error in H is purely the O(step^2)
   truncation of the stencil, so halving the step reliably quarters it;
@@ -38,12 +40,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .defaults import DEFAULTS
-from .errors import DegenerateMetric, PoleAtZero
+from .errors import DegenerateMetric, NotRepresentable, PoleAtZero
 from .frames import BryantFrame
 
 Vec4 = tuple[int, int, int, int]
@@ -51,28 +53,6 @@ Vec4 = tuple[int, int, int, int]
 
 # ---------------------------------------------------------------------------
 # points
-
-@dataclass(frozen=True, eq=False)
-class HermitianPoint:
-    """A point of hyperbolic space as a positive Hermitian matrix, det 1."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        if np.linalg.norm(m - m.conj().T) > 1e-12:
-            raise ValueError("matrix is not Hermitian within 1e-12")
-        # relative bound: the roundoff in det grows with the entries squared
-        scale = max(1.0, float(np.linalg.norm(m)) ** 2)
-        if not abs(np.linalg.det(m) - 1.0) <= 1e-10 * scale:
-            raise ValueError("determinant is not 1 within 1e-10 relative")
-        if m[0, 0].real <= 0:
-            raise ValueError("matrix is not positive definite")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
 
 @dataclass(frozen=True)
 class MinkowskiPoint:
@@ -84,52 +64,41 @@ class MinkowskiPoint:
     x3: float
 
     def __post_init__(self):
-        q = self.x0 ** 2 - self.x1 ** 2 - self.x2 ** 2 - self.x3 ** 2
-        if not abs(q - 1.0) <= 1e-10 * max(1.0, self.x0 ** 2):
-            raise ValueError(f"Minkowski norm {q!r} is not 1 within 1e-10 relative")
+        # the relative defect |q - 1| / x0^2 for x0 >= 1, from x/x0, so
+        # that no square of a coordinate overflows
+        s = max(1.0, self.x0)
+        r0, r1, r2, r3 = (x / s for x in (self.x0, self.x1, self.x2, self.x3))
+        defect = r0 * r0 - r1 * r1 - r2 * r2 - r3 * r3 - 1 / s / s
+        if not abs(defect) <= 1e-10:
+            raise ValueError(
+                f"Minkowski norm of {self!r} is not 1 within 1e-10 relative")
         if self.x0 <= 0:
             raise ValueError("x0 must be positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x0, self.x1, self.x2, self.x3])
 
     def poincare(self) -> np.ndarray:
         """Projection into the open unit ball."""
         return np.array([self.x1, self.x2, self.x3]) / (1.0 + self.x0)
 
 
-def immerse(frame: BryantFrame, z: complex) -> HermitianPoint:
-    """A(z)·A(z)*, evaluated numerically."""
+def immerse(frame: BryantFrame, z: complex) -> MinkowskiPoint:
+    """The hyperboloid point of A(z)·A(z)*, each coordinate rounded once.
+
+    NotRepresentable if a coordinate exceeds the double range.
+    """
+    z = complex(z)
     if not frame.domain.contains(z):
         raise ValueError(f"{z!r} lies outside the frame domain")
-    a = frame.matrix.evaluate(z)
-    f = a @ a.conj().T
-    return HermitianPoint((f + f.conj().T) / 2)
+    _, _, d, (x,) = _embeddings(frame, z)
+    try:
+        return MinkowskiPoint(*(c / d for c in x))
+    except OverflowError:
+        raise NotRepresentable(
+            f"the immersion at {z!r} exceeds the double range") from None
 
 
-def to_minkowski(p: HermitianPoint) -> MinkowskiPoint:
-    m = p.matrix
-    return MinkowskiPoint(
-        x0=(m[0, 0].real + m[1, 1].real) / 2,
-        x1=m[0, 1].real,
-        x2=m[0, 1].imag,
-        x3=(m[0, 0].real - m[1, 1].real) / 2,
-    )
-
-
-def from_minkowski(p: MinkowskiPoint) -> HermitianPoint:
-    return HermitianPoint(np.array([
-        [p.x0 + p.x3, p.x1 + 1j * p.x2],
-        [p.x1 - 1j * p.x2, p.x0 - p.x3],
-    ]))
-
-
-def hyperbolic_distance(p: HermitianPoint, q: HermitianPoint) -> float:
-    """Geodesic distance: cosh d = trace(p · adj q) / 2."""
-    qm = q.matrix
-    adj = np.array([[qm[1, 1], -qm[0, 1]], [-qm[1, 0], qm[0, 0]]])
-    c = np.trace(p.matrix @ adj).real / 2
-    return math.acosh(max(c, 1.0))
+def hyperbolic_distance(p: MinkowskiPoint, q: MinkowskiPoint) -> float:
+    """Geodesic distance: cosh d = <p, q>."""
+    return math.acosh(max(_mink(astuple(p), astuple(q)), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -229,30 +198,54 @@ def _embed_numerator(table, re_w: int, im_w: int) -> Vec4:
     return (f00 + f11, 2 * f01_re, 2 * f01_im, f00 - f11)
 
 
+def _embeddings(frame: BryantFrame, z: complex, step: float = 0.0,
+                offsets=((0, 0),)):
+    """Exact embeddings at the points z + step·(du + i·dv), one per offset.
+
+    Returns (k, h, d, xs): the step is h/2^k and the embedding at the j-th
+    point is xs[j]/d, with h and d ints and xs[j] an integer 4-vector.
+    The sample point and the step are dyadic, hence so are the points:
+    W/2^k with W = u + du·h + i(v + dv·h) in ints.  PoleAtZero if a point
+    is 0 and the frame has a pole there.
+    """
+    if not cmath.isfinite(z):
+        raise ValueError(f"sample point must be finite, got {z!r}")
+    (u, eu), (v, ev), (h, eh) = _dyadic(z.real), _dyadic(z.imag), _dyadic(step)
+    k = max(eu, ev, eh)
+    u, v, h = u << (k - eu), v << (k - ev), h << (k - eh)
+    lo, hi, den, table = _horner_table(frame, k)
+    points = [(u + du * h, v + dv * h) for du, dv in offsets]
+    if lo < 0 and (0, 0) in points:
+        raise PoleAtZero(f"the frame has a pole at 0, reached from {z!r}")
+    # the embedding at W_j is X_j / (D0·g_j) with D0 = 2·L²·2^{2k·hi} and
+    # g_j = |W_j|^{-2lo}; scale all to the one denominator D0·lcm(g)
+    g = [(re * re + im * im) ** -lo for re, im in points]
+    g_all = math.lcm(*g)
+    xs = [tuple(x * (g_all // gj) for x in _embed_numerator(table, *w))
+          for w, gj in zip(points, g)]
+    return k, h, (2 * den * den * g_all) << (2 * k * hi), xs
+
+
 # stencil offsets (du, dv) in units of the step, in the unpacking order below
 _STENCIL = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
             (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _curvature_exact(frame: BryantFrame, z: complex, step: float) -> CurvatureSample:
-    # the sample point and the step are dyadic, hence so is the stencil:
-    # its points are W/2^k with W = u + du·h + i(v + dv·h) in ints
-    (u, eu), (v, ev), (h, eh) = _dyadic(z.real), _dyadic(z.imag), _dyadic(step)
-    k = max(eu, ev, eh)
-    u, v, h = u << (k - eu), v << (k - ev), h << (k - eh)
-    lo, hi, den, table = _horner_table(frame, k)
+def mean_curvature(frame: BryantFrame, z: complex,
+                   step: float = DEFAULTS.step) -> CurvatureSample:
+    """Mean curvature H at z from a central stencil of width 2*step.
 
-    points = [(u + du * h, v + dv * h) for du, dv in _STENCIL]
-    if lo < 0 and (0, 0) in points:
-        raise PoleAtZero(f"the stencil at {z!r} reaches the pole at 0")
-    # the embedding at W_j is X_j / (D0·g_j) with D0 = 2·L²·2^{2k·hi} and
-    # g_j = |W_j|^{-2lo}; scale all nine to the one denominator D0·lcm(g)
-    g = [(re * re + im * im) ** -lo for re, im in points]
-    g_all = math.lcm(*g)
-    c00, cpu, cmu, cpv, cmv, cpp, cpm, cmp_, cmm = (
-        tuple(x * (g_all // gj) for x in _embed_numerator(table, *w))
-        for w, gj in zip(points, g))
-    d = (2 * den * den * g_all) << (2 * k * hi)
+    The sample point must be finite and the step positive and finite.
+    The sample point must stay clear of branch points and matrix poles by
+    more than the stencil width; a stencil point landing exactly on a pole
+    raises PoleAtZero, a singular metric raises DegenerateMetric, and a
+    form or H beyond the double range raises NotRepresentable.
+    """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step!r}")
+    z = complex(z)
+    k, h, d, (c00, cpu, cmu, cpv, cmv, cpp, cpm, cmp_, cmm) = _embeddings(
+        frame, z, float(step), _STENCIL)
 
     # with f = X/d and the step h/2^k, f_u = fu·2^k/(2hd), likewise f_v,
     # and f_uu = fuu·2^{2k}/(4h²d), likewise f_vv and f_uv
@@ -283,32 +276,21 @@ def _curvature_exact(frame: BryantFrame, z: complex, step: float) -> CurvatureSa
     # true values, with p = (2hd)²: I is i·2^{2k}/p, q is q·2^{4k}/(pd)²
     # and II is j·2^{4k}/p²; in H = t/(2·det I·sqrt q) the scales cancel
     # to d.  Each float is one int/int true division, which is correctly
-    # rounded.
+    # rounded or raises OverflowError.
     p = (2 * h * d) ** 2
-    ratio = (t_num * t_num * d * d) / (4 * det_i * det_i * q)
-    H = math.copysign(math.sqrt(ratio), 1 if t_num >= 0 else -1)
-
-    sq = math.sqrt((q << 4 * k) / (p * d) ** 2)
-    first = np.array([[(i00 << 2 * k) / p, (i01 << 2 * k) / p],
-                      [(i01 << 2 * k) / p, (i11 << 2 * k) / p]])
     p2 = p * p
-    second = np.array([[(j00 << 4 * k) / p2, (j01 << 4 * k) / p2],
-                       [(j01 << 4 * k) / p2, (j11 << 4 * k) / p2]]) / sq
+    try:
+        ratio = (t_num * t_num * d * d) / (4 * det_i * det_i * q)
+        sq = math.sqrt((q << 4 * k) / (p * d) ** 2)
+        first = np.array([[(i00 << 2 * k) / p, (i01 << 2 * k) / p],
+                          [(i01 << 2 * k) / p, (i11 << 2 * k) / p]])
+        second = np.array([[(j00 << 4 * k) / p2, (j01 << 4 * k) / p2],
+                           [(j01 << 4 * k) / p2, (j11 << 4 * k) / p2]]) / sq
+    except OverflowError:
+        raise NotRepresentable(
+            f"the curvature at {z!r} exceeds the double range") from None
+    H = math.copysign(math.sqrt(ratio), 1 if t_num >= 0 else -1)
     return CurvatureSample(z=z, H=H, first_form=first, second_form=second)
-
-
-def mean_curvature(frame: BryantFrame, z: complex,
-                   step: float = DEFAULTS.step) -> CurvatureSample:
-    """Mean curvature H at z from a central stencil of width 2*step.
-
-    The step must be positive and finite.  The sample point must stay
-    clear of branch points and matrix poles by more than the stencil width;
-    a stencil point landing exactly on a pole raises PoleAtZero, a singular
-    metric raises DegenerateMetric.
-    """
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be positive and finite, got {step!r}")
-    return _curvature_exact(frame, complex(z), float(step))
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +324,9 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class SurfaceMesh:
-    """Quad mesh over a grid; vertices outside the frame domain or where
-    the immersion has a pole are None and faces touching them are dropped."""
+    """Quad mesh over a grid; vertices outside the frame domain, where the
+    immersion has a pole or where a coordinate exceeds the double range
+    are None, and faces touching them are dropped."""
 
     grid: GridSpec
     vertices: tuple[MinkowskiPoint | None, ...]
@@ -375,8 +358,8 @@ def sample_mesh(frame: BryantFrame, grid: GridSpec) -> SurfaceMesh:
             verts.append(None)
             continue
         try:
-            verts.append(to_minkowski(immerse(frame, z)))
-        except PoleAtZero:
+            verts.append(immerse(frame, z))
+        except (PoleAtZero, NotRepresentable):
             verts.append(None)
     n = grid.n
     faces = []

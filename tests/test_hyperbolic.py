@@ -1,16 +1,18 @@
-"""Immersion, model conversions, curvature, meshes.
+"""Immersion, hyperboloid points, curvature, meshes.
 
-The curvature engine evaluates its stencil exactly, on integers scaled
-to one common denominator, so frames whose Minkowski embedding is
-quadratic in (u, v) must come out at H = 1.0 exactly; the degree-4 cusp
-frame shows the genuine second-order step dependence.  A plain Fraction
-stencil kept here is the reference the integer kernel must match bit for
-bit.
+The immersion and the curvature stencil are evaluated exactly, on
+integers scaled to one common denominator.  Each vertex coordinate is
+the correctly rounded exact embedding, and frames whose Minkowski
+embedding is quadratic in (u, v) must come out at H = 1.0 exactly; the
+degree-4 cusp frame shows the genuine second-order step dependence.  A
+plain Fraction embedding and stencil kept here are the reference the
+integer kernel must match bit for bit.
 """
 
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,12 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bryantlab.errors import DegenerateMetric, PoleAtZero
+from bryantlab.errors import DegenerateMetric, NotRepresentable, PoleAtZero
 from bryantlab.frames import CATALOG_NAMES, Annulus, BryantFrame, catalog
-from bryantlab.hyperbolic import (GridSpec, HermitianPoint, MinkowskiPoint,
-                                  _mink, _normal_direction, from_minkowski,
-                                  hyperbolic_distance, immerse, mean_curvature,
-                                  sample_mesh, to_minkowski)
+from bryantlab.hyperbolic import (GridSpec, MinkowskiPoint, _mink,
+                                  _normal_direction, hyperbolic_distance,
+                                  immerse, mean_curvature, sample_mesh)
 from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
 from conftest import seeded_coeff
 
@@ -45,24 +46,26 @@ def _leibniz_det(rows):
     return total
 
 
+def _exact_embedding(frame, u, v):
+    """Minkowski coordinates of A·A* at u + iv, as Fractions."""
+    (a, b), (c, d) = frame.matrix.eval_exact(GaussianRational(u, v))
+    f00 = a.norm_sq() + b.norm_sq()
+    f11 = c.norm_sq() + d.norm_sq()
+    f01 = a * c.conjugate() + b * d.conjugate()
+    return ((f00 + f11) / 2, f01.re, f01.im, (f00 - f11) / 2)
+
+
 def _reference_curvature(frame, z, step):
     """(H, first_form, second_form) from a plain Fraction stencil.
 
     Every intermediate is a reduced Fraction and each float comes from
     float(Fraction); the kernel in hyperbolic.py must agree exactly.
     """
-    def embed(u, v):
-        (a, b), (c, d) = frame.matrix.eval_exact(GaussianRational(u, v))
-        f00 = a.norm_sq() + b.norm_sq()
-        f11 = c.norm_sq() + d.norm_sq()
-        f01 = a * c.conjugate() + b * d.conjugate()
-        return ((f00 + f11) / 2, f01.re, f01.im, (f00 - f11) / 2)
-
     def lin(*pairs):
         return tuple(sum(k * x[i] for k, x in pairs) for i in range(4))
 
     u, v, h = Fraction(z.real), Fraction(z.imag), Fraction(step)
-    c = {(du, dv): embed(u + du * h, v + dv * h)
+    c = {(du, dv): _exact_embedding(frame, u + du * h, v + dv * h)
          for du in (-1, 0, 1) for dv in (-1, 0, 1)}
     fu = lin((1 / (2 * h), c[1, 0]), (-1 / (2 * h), c[-1, 0]))
     fv = lin((1 / (2 * h), c[0, 1]), (-1 / (2 * h), c[0, -1]))
@@ -132,20 +135,36 @@ def _curvature_corpus():
     yield "cusp branch point", catalog("cusp-degree2"), 0j, 1e-3
 
 
+def _point(*coords):
+    return MinkowskiPoint(*(float(x) for x in coords))
+
+
+def _constant_frame(a, b, c, d):
+    return BryantFrame(LaurentMatrix(*(LaurentPoly.constant(x) for x in (a, b, c, d))))
+
+
+def _large_shear(exponent):
+    """[[1, 10^exponent·z], [0, 1]]: a Bryant frame with a huge immersion."""
+    return BryantFrame(LaurentMatrix(ONE, LaurentPoly({1: 10 ** exponent}),
+                                     LaurentPoly.zero(), ONE))
+
+
 class TestImmerse:
+    # the horosphere [[1, z], [0, 1]] has f = [[1+|z|², z], [z̄, 1]], so
+    # x = (1 + |z|²/2, Re z, Im z, |z|²/2); each coordinate is the exact
+    # value at the double z, rounded once
     def test_horosphere_origin_is_identity(self):
-        p = immerse(catalog("horosphere"), 0j)
-        assert np.allclose(p.matrix, np.eye(2), atol=1e-14)
+        assert immerse(catalog("horosphere"), 0j) == _point(1, 0, 0, 0)
 
     def test_horosphere_closed_form(self):
         z = 0.4 + 0.3j
-        p = immerse(catalog("horosphere"), z)
-        expected = np.array([[1 + abs(z) ** 2, z], [z.conjugate(), 1]])
-        assert np.allclose(p.matrix, expected, atol=1e-14)
+        r2 = Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+        assert (immerse(catalog("horosphere"), z)
+                == _point(1 + r2 / 2, z.real, z.imag, r2 / 2))
 
     def test_lower_shear_at_one(self):
-        p = immerse(catalog("lower-shear"), 1.0 + 0j)
-        assert np.allclose(p.matrix, np.array([[1, 1], [1, 2]]), atol=1e-14)
+        # f = [[1, 1], [1, 2]]
+        assert immerse(catalog("lower-shear"), 1.0 + 0j) == _point(1.5, 1, 0, -0.5)
 
     def test_outside_domain(self):
         frame = BryantFrame(LaurentMatrix.diagonal(Z, LaurentPoly.monomial(-1)),
@@ -156,59 +175,63 @@ class TestImmerse:
     def test_grid_invariants(self):
         frame = catalog("affine-null")
         for z in GridSpec(n=10).points():
-            p = immerse(frame, z)  # HermitianPoint validates on construction
-            assert p.matrix.shape == (2, 2)
+            p = immerse(frame, z)  # MinkowskiPoint validates on construction
+            assert isinstance(p, MinkowskiPoint) and p.x0 >= 1.0
+
+    @pytest.mark.parametrize("z", [math.inf, math.nan])
+    def test_non_finite_point(self, z):
+        for fn in (immerse, mean_curvature):
+            with pytest.raises(ValueError, match=re.escape(repr(complex(z)))):
+                fn(catalog("horosphere"), z)
+
+    def test_beyond_double_range(self):
+        # 10^200·z puts x0 near 10^400 at z = 1 + i
+        with pytest.raises(NotRepresentable):
+            immerse(_large_shear(200), 1 + 1j)
+        assert immerse(_large_shear(100), 1 + 1j).x0 == float(10 ** 200 + 1)
 
 
 class TestMinkowski:
+    # f = A·A* is [[x0+x3, x1+i x2], [x1-i x2, x0-x3]]; constant frames
+    # give each f directly
     def test_identity(self):
-        m = to_minkowski(HermitianPoint(np.eye(2, dtype=complex)))
-        assert (m.x0, m.x1, m.x2, m.x3) == (1.0, 0.0, 0.0, 0.0)
+        assert immerse(_constant_frame(1, 0, 0, 1), 0j) == _point(1, 0, 0, 0)
 
     def test_diagonal(self):
-        m = to_minkowski(HermitianPoint(np.diag([2.0, 0.5]).astype(complex)))
-        assert np.allclose([m.x0, m.x1, m.x2, m.x3], [1.25, 0, 0, 0.75])
+        # f = diag(4, 1/4)
+        frame = _constant_frame(2, 0, 0, Fraction(1, 2))
+        assert immerse(frame, 0j) == _point(Fraction(17, 8), 0, 0, Fraction(15, 8))
 
     def test_off_diagonal(self):
-        m = to_minkowski(HermitianPoint(np.array([[1, 1], [1, 2]], dtype=complex)))
-        assert np.allclose([m.x0, m.x1, m.x2, m.x3], [1.5, 1.0, 0.0, -0.5])
+        # f = [[2, i], [-i, 1]]
+        frame = _constant_frame(1, GaussianRational(0, 1), 0, 1)
+        assert immerse(frame, 0j) == _point(1.5, 0, 1, 0.5)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 20.0, 350.0, 700.0])
+    def test_accepts_far_points(self, t):
+        MinkowskiPoint(math.cosh(t), 0.0, 0.0, math.sinh(t))
+        MinkowskiPoint(math.cosh(t), 0.0, -math.sinh(t), 0.0)
 
     @given(coords, coords, coords)
-    def test_round_trip(self, x1, x2, x3):
-        x0 = math.sqrt(1 + x1 * x1 + x2 * x2 + x3 * x3)
-        p = MinkowskiPoint(x0, x1, x2, x3)
-        q = to_minkowski(from_minkowski(p))
-        assert max(abs(a - b) for a, b in zip(p.as_array(), q.as_array())) < 1e-12
+    def test_accepts_rounded_points(self, x1, x2, x3):
+        MinkowskiPoint(math.sqrt(1 + x1 * x1 + x2 * x2 + x3 * x3), x1, x2, x3)
 
     def test_invariant_violation(self):
-        with pytest.raises(ValueError):
-            MinkowskiPoint(2.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            MinkowskiPoint(-1.0, 0.0, 0.0, 0.0)
+        for x in [(2.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0),
+                  (math.nan, 0.0, 0.0, 0.0), (1.0, math.nan, 0.0, 0.0),
+                  (math.inf, math.inf, 0.0, 0.0)]:
+            with pytest.raises(ValueError):
+                MinkowskiPoint(*x)
 
     def test_poincare_in_ball(self):
         p = MinkowskiPoint(math.sqrt(26), 3.0, 4.0, 0.0)
         assert np.linalg.norm(p.poincare()) < 1.0
 
 
-class TestHermitianPoint:
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            HermitianPoint(np.array([[1, 1j], [1j, 1]]))
-
-    def test_rejects_wrong_det(self):
-        with pytest.raises(ValueError):
-            HermitianPoint(np.diag([2.0, 2.0]).astype(complex))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            HermitianPoint(np.diag([-1.0, -1.0]).astype(complex))
-
-
 class TestDistance:
     def test_diagonal_oracle(self):
-        p = HermitianPoint(np.eye(2, dtype=complex))
-        q = HermitianPoint(np.diag([math.exp(2.0), math.exp(-2.0)]).astype(complex))
+        p = MinkowskiPoint(1.0, 0.0, 0.0, 0.0)
+        q = MinkowskiPoint(math.cosh(2.0), 0.0, 0.0, math.sinh(2.0))
         assert abs(hyperbolic_distance(p, q) - 2.0) < 1e-12
 
     def test_symmetry_and_zero(self):
@@ -319,11 +342,23 @@ class TestMesh:
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     @pytest.mark.parametrize("radius", [50.0, 1e3, 1e4])
     def test_far_grid_keeps_every_vertex(self, name, radius):
-        # the entries of f grow like |z|^(2n); det and Minkowski-norm
-        # checks must scale with them, not drop valid vertices
+        # the coordinates grow like |z|^(2n); each is rounded once from
+        # the exact embedding, and the Minkowski-norm check is relative,
+        # so no valid vertex is dropped
         mesh = sample_mesh(catalog(name), GridSpec(center=0j, radius=radius, n=10))
         assert mesh.valid_vertex_count == 100
         assert len(mesh.faces) == 81
+
+    @pytest.mark.parametrize("label", [*CATALOG_NAMES, "seed 7", "seed 8"])
+    @pytest.mark.parametrize("radius", [1.0, 50.0, 1e4])
+    def test_vertices_are_correctly_rounded(self, label, radius):
+        frame = (_seeded_bryant(random.Random(int(label[5:])), -1, 4)
+                 if label.startswith("seed") else catalog(label))
+        grid = GridSpec(center=0.3 - 0.2j, radius=radius, n=6)
+        mesh = sample_mesh(frame, grid)
+        for z, v in zip(grid.points(), mesh.vertices):
+            want = _exact_embedding(frame, Fraction(z.real), Fraction(z.imag))
+            assert v == _point(*want), z
 
     @pytest.mark.parametrize("kw", [
         {"n": 0}, {"radius": 0.0}, {"radius": math.inf}, {"radius": math.nan},
