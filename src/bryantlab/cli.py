@@ -16,6 +16,7 @@ subcommand runs single-threaded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -222,6 +223,7 @@ def _control_flags(p: argparse.ArgumentParser, *names: str):
                        default=getattr(DEFAULTS, name))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bryantlab",

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -239,7 +240,8 @@ def mean_curvature(frame: BryantFrame, z: complex,
     The sample point must stay clear of branch points and matrix poles by
     more than the stencil width; a stencil point landing exactly on a pole
     raises PoleAtZero, a singular metric raises DegenerateMetric, and a
-    form or H beyond the double range raises NotRepresentable.
+    form or H beyond the double range, or a normal scale below it, raises
+    NotRepresentable.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive and finite, got {step!r}")
@@ -281,14 +283,19 @@ def mean_curvature(frame: BryantFrame, z: complex,
     p2 = p * p
     try:
         ratio = (t_num * t_num * d * d) / (4 * det_i * det_i * q)
-        sq = math.sqrt((q << 4 * k) / (p * d) ** 2)
+        sq2 = (q << 4 * k) / (p * d) ** 2
         first = np.array([[(i00 << 2 * k) / p, (i01 << 2 * k) / p],
                           [(i01 << 2 * k) / p, (i11 << 2 * k) / p]])
         second = np.array([[(j00 << 4 * k) / p2, (j01 << 4 * k) / p2],
-                           [(j01 << 4 * k) / p2, (j11 << 4 * k) / p2]]) / sq
+                           [(j01 << 4 * k) / p2, (j11 << 4 * k) / p2]])
     except OverflowError:
         raise NotRepresentable(
             f"the curvature at {z!r} exceeds the double range") from None
+    # q > 0, so a square below the normal range has lost digits or is 0
+    if sq2 < sys.float_info.min:
+        raise NotRepresentable(
+            f"the normal's scale at {z!r} underflows the double range")
+    second /= math.sqrt(sq2)
     H = math.copysign(math.sqrt(ratio), 1 if t_num >= 0 else -1)
     return CurvatureSample(z=z, H=H, first_form=first, second_form=second)
 

@@ -53,6 +53,11 @@ def test_tracer_wraps_every_traced_name(bench, tmp_path):
     # one transport per loop of the 8-loop file, one report for the family
     assert calls["connection.parallel_transport"] == 8
     assert calls["connection.report_from_matrices"] == 1
+    # connection.rhs_per_loop counts HiggsField.value spans: every RHS
+    # evaluation of the transport must pass through the traced methods
+    assert calls["connection.HiggsField.value"] > 0
+    assert (calls["connection.HiggsField.value"]
+            == calls["series.LaurentMatrix.evaluate"])
 
 
 @pytest.mark.parametrize("name", DECLARED)

@@ -150,13 +150,14 @@ class TestSurface:
         assert out == ""
         assert err.startswith("input error: ")
 
-    @pytest.mark.parametrize("exponent, kept", [(200, 0), (100, 4)])
+    @pytest.mark.parametrize("exponent, kept", [(200, 0), (100, 4), (-200, 4)])
     def test_beyond_double_range_is_flagged(self, capsys, frame_file,
                                             exponent, kept):
         # [[1, 10^e·z], [0, 1]] is a Bryant frame whose immersion (e = 200)
-        # or first fundamental form (e = 100) leaves the double range
+        # or first fundamental form (e = 100) leaves the double range, or
+        # whose normal's scale underflows it (e = -200)
         path = frame_file("large.json", LaurentMatrix(
-            ONE, LaurentPoly({1: 10 ** exponent}), LaurentPoly.zero(), ONE))
+            ONE, LaurentPoly({1: Fraction(10) ** exponent}), LaurentPoly.zero(), ONE))
         code, data, _ = run_json(capsys, "surface", path, "--n", "2")
         assert code == 0
         assert [f["error"] for f in data["flagged"]] == ["NotRepresentable"] * 4

@@ -144,8 +144,8 @@ def _constant_frame(a, b, c, d):
 
 
 def _large_shear(exponent):
-    """[[1, 10^exponent·z], [0, 1]]: a Bryant frame with a huge immersion."""
-    return BryantFrame(LaurentMatrix(ONE, LaurentPoly({1: 10 ** exponent}),
+    """[[1, 10^exponent·z], [0, 1]]: a Bryant frame with a huge (or tiny) metric."""
+    return BryantFrame(LaurentMatrix(ONE, LaurentPoly({1: Fraction(10) ** exponent}),
                                      LaurentPoly.zero(), ONE))
 
 
@@ -297,6 +297,23 @@ class TestMeanCurvature:
         f, fu, fv = (tuple(xs[i:i + 4]) for i in (0, 4, 8))
         n = _normal_direction(f, fu, fv)
         assert _leibniz_det((f, fu, fv, n)) == -_mink(n, n)
+
+    @pytest.mark.parametrize("exponent", [-70, 0, 50])
+    def test_scaled_horosphere_is_umbilic(self, exponent):
+        # the shear is a horosphere with metric scale 10^(2·exponent): II = I
+        s = mean_curvature(_large_shear(exponent), 1 + 1j)
+        assert s.H == 1.0
+        scale = 10.0 ** (2 * exponent)
+        assert np.array_equal(s.first_form, [[scale, 0], [0, scale]])
+        assert np.max(np.abs(s.second_form - s.first_form)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("exponent", [-80, -200])
+    def test_normal_scale_underflow(self, exponent):
+        # the squared normal scale is about 10^(4·exponent): subnormal at
+        # -80, where the second form would lose digits, and 0.0 at -200,
+        # where it would be 0/0
+        with pytest.raises(NotRepresentable, match="underflows"):
+            mean_curvature(_large_shear(exponent), 1 + 1j)
 
     def test_matches_fraction_reference(self):
         seen = set()

@@ -147,6 +147,81 @@ class TestEval:
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + bulk(p) * bulk(q))
 
 
+def _reference_call(p, z):
+    """LaurentPoly.__call__ as it was: every coefficient converted per call."""
+    if p.is_zero:
+        return 0j
+    lo, hi = p.valuation(), p.degree()
+    z = complex(z)
+    if z == 0:
+        if lo < 0:
+            raise PoleAtZero("evaluation at 0 with negative exponents")
+        return p.coeff(0).to_complex()
+    acc = 0j
+    if hi >= 0:
+        for e in range(hi, -1, -1):
+            acc = acc * z + p.coeff(e).to_complex()
+    if lo < 0:
+        w = 1.0 / z
+        neg = 0j
+        for e in range(lo, 0):
+            neg = (neg + p.coeff(e).to_complex()) * w
+        acc += neg
+    return acc
+
+
+def _outcome(fn, *args):
+    """The value's bits (signed zeros, inf and nan included) or the error type."""
+    try:
+        v = fn(*args)
+    except PoleAtZero:
+        return PoleAtZero
+    return v.real.hex(), v.imag.hex()
+
+
+class TestFloatTable:
+    @given(st.one_of(laurent_polys(min_exp=-8, max_exp=8, max_terms=6),
+                     laurent_polys(min_exp=-8, max_exp=-1, max_terms=4),
+                     laurent_polys(min_exp=1, max_exp=8, max_terms=4)),
+           st.lists(st.one_of(st.just(0j), st.complex_numbers(
+               max_magnitude=1e3, allow_nan=False, allow_infinity=False)),
+               min_size=1, max_size=4))
+    @settings(max_examples=300)
+    def test_matches_per_call_horner(self, p, zs):
+        # gaps, principal parts only, the zero polynomial, z = 0 with and
+        # without a pole, and each point evaluated twice on one object
+        for z in zs + zs:
+            assert _outcome(p, z) == _outcome(_reference_call, p, z)
+
+    def test_each_coefficient_converted_once(self, monkeypatch):
+        p = (mono(-3, Fraction(1, 3))
+             + mono(2, GaussianRational(Fraction(2, 7), Fraction(-1, 5))) + mono(4))
+        original = GaussianRational.to_complex
+        converted = []
+
+        def counted(self):
+            converted.append(self)
+            return original(self)
+
+        monkeypatch.setattr(GaussianRational, "to_complex", counted)
+        for k in range(100):
+            p(complex(0.3 + 0.01 * k, 0.7 - 0.005 * k))
+        assert len(converted) == 4 - (-3) + 1  # exponents -3..4, gaps included
+
+    def test_beyond_double_raises_on_every_call(self):
+        p = mono(1, 10 ** 400) + ONE
+        for _ in range(2):
+            with pytest.raises(NotRepresentable):
+                p(0.5)
+        assert p(0j) == 1.0  # at 0 only the constant term is converted
+
+    def test_table_is_not_part_of_the_value(self):
+        p = mono(-2, Fraction(1, 3)) + mono(1, 5)
+        q = LaurentPoly.from_json(p.to_json())
+        p(0.5 + 0.25j)
+        assert p == q and hash(p) == hash(q) and p.to_json() == q.to_json()
+
+
 class TestPoleOrder:
     def test_examples(self):
         assert (mono(-3) + Z).pole_order() == 3
