@@ -58,6 +58,22 @@ def _read_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _load(path: str, kind: str, build):
+    """build(data) on the JSON read from path; data that build rejects is
+    an InputError naming the file and its kind."""
+    data = _read_json(path)
+    try:
+        return build(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path} is not a {kind} file: {exc}") from exc
+
+
+def _frame_from_json(data) -> tuple[LaurentMatrix, frames.Annulus]:
+    matrix = LaurentMatrix.from_json(data["matrix"])
+    return matrix, (frames.Annulus.from_json(data["domain"])
+                    if data.get("domain") is not None else frames.Annulus())
+
+
 def _load_matrix(spec: str) -> tuple[LaurentMatrix, frames.Annulus]:
     """A frame file path, or a catalog name for the built-in frames."""
     if not FilePath(spec).exists():
@@ -65,31 +81,12 @@ def _load_matrix(spec: str) -> tuple[LaurentMatrix, frames.Annulus]:
             f = frames.catalog(spec)
             return f.matrix, f.domain
         raise InputError(f"{spec!r} is neither a file nor one of {frames.CATALOG_NAMES}")
-    data = _read_json(spec)
-    try:
-        matrix = LaurentMatrix.from_json(data["matrix"])
-        domain = (frames.Annulus.from_json(data["domain"])
-                  if data.get("domain") is not None else frames.Annulus())
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{spec} is not a frame file: {exc}") from exc
-    return matrix, domain
+    return _load(spec, "frame", _frame_from_json)
 
 
-def _load_higgs(path: str) -> connection.HiggsField:
-    data = _read_json(path)
-    try:
-        return connection.HiggsField.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path} is not a Higgs field file: {exc}") from exc
-
-
-def _load_loops(path: str) -> list[connection.PathLoop]:
-    data = _read_json(path)
+def _loops_from_json(data) -> list[connection.PathLoop]:
     entries = data["loops"] if isinstance(data, dict) and "loops" in data else [data]
-    try:
-        return [connection.PathLoop.from_json(e) for e in entries]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path} is not a loop file: {exc}") from exc
+    return [connection.PathLoop.from_json(e) for e in entries]
 
 
 def _emit(text: str, out: str | None):
@@ -150,8 +147,8 @@ def cmd_surface(args) -> int:
 
 def cmd_holonomy(args) -> int:
     controls = _controls(args)
-    theta = _load_higgs(args.field)
-    loops = _load_loops(args.loops)
+    theta = _load(args.field, "Higgs field", connection.HiggsField.from_json)
+    loops = _load(args.loops, "loop", _loops_from_json)
     report = connection.holonomy(theta, loops, controls)
     _emit(canonical_dumps(report.to_json()), args.out)
     return EXIT_PASS if report.passes else EXIT_FAIL
@@ -184,22 +181,19 @@ def _enumerated_candidates(lo: int, hi: int, n_points: int):
 
 
 def cmd_stability(args) -> int:
-    data = _read_json(args.data)
-    try:
+    def parse(data):
         pd = parabolic.ParabolicData(
             genus=int(data["genus"]),
             points=tuple(parabolic.MarkedPoint(p["label"], Fraction(p["weight"]))
                          for p in data["points"]))
         if args.enumerate_range is not None:
-            candidates = _enumerated_candidates(*args.enumerate_range,
-                                                pd.point_count)
-        else:
-            candidates = [parabolic.SubbundleCandidate(
-                degree=int(c["degree"]), matches=tuple(bool(m) for m in c["matches"]),
-                label=str(c.get("label", "")))
-                for c in data["candidates"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{args.data} is not a stability file: {exc}") from exc
+            return pd, _enumerated_candidates(*args.enumerate_range, pd.point_count)
+        return pd, [parabolic.SubbundleCandidate(
+            degree=int(c["degree"]), matches=tuple(bool(m) for m in c["matches"]),
+            label=str(c.get("label", "")))
+            for c in data["candidates"]]
+
+    pd, candidates = _load(args.data, "stability", parse)
     report = parabolic.stability_verdict(pd, candidates)
     _emit(canonical_dumps(report.to_json()), args.out)
     return EXIT_PASS if report.stable else EXIT_FAIL

@@ -234,6 +234,8 @@ class ArcSegment:
         if not all(cmath.isfinite(x) for x in
                    (self.center, self.radius, self.angle0, self.angle1)):
             raise ValueError(f"arc data must be finite, got {self!r}")
+        if not self.radius > 0:
+            raise ValueError(f"arc radius must be positive, got {self.radius!r}")
 
     def at(self, t: float) -> complex:
         ang = self.angle0 + t * (self.angle1 - self.angle0)
@@ -254,12 +256,9 @@ class ArcSegment:
         lo, hi = sorted((self.angle0, self.angle1))
         if hi - lo >= 2 * math.pi:
             return abs(r - self.radius)
-        phi = cmath.phase(v)
-        # bring phi into [lo, lo + 2*pi)
-        phi += math.floor((lo - phi) / (2 * math.pi) + 1) * 2 * math.pi
-        while phi - 2 * math.pi >= lo:
-            phi -= 2 * math.pi
-        if lo <= phi <= hi:
+        # the angle of v in [lo, lo + 2*pi)
+        phi = lo + (cmath.phase(v) - lo) % (2 * math.pi)
+        if phi <= hi:
             return abs(r - self.radius)
         return min(abs(w - self.at(0.0)), abs(w - self.at(1.0)))
 
@@ -272,7 +271,10 @@ class ArcSegment:
 
 Segment = Union[LineSegment, ArcSegment]
 
-_CLOSURE_TOL = 1e-9
+
+def _joins(p: complex, q: complex) -> bool:
+    """p and q agree to 1e-9, relative to their size once it passes 1."""
+    return abs(p - q) <= 1e-9 * max(1.0, abs(p), abs(q))
 
 
 class Path:
@@ -283,7 +285,7 @@ class Path:
         if not segs:
             raise ValueError("a path needs at least one segment")
         for prev, nxt in zip(segs, segs[1:]):
-            if abs(prev.at(1.0) - nxt.at(0.0)) > _CLOSURE_TOL:
+            if not _joins(prev.at(1.0), nxt.at(0.0)):
                 raise ValueError("path segments do not join")
         self.segments = segs
 
@@ -296,7 +298,7 @@ class Path:
         return self.segments[-1].at(1.0)
 
     def reverse(self) -> "Path":
-        return Path(tuple(s.reverse() for s in reversed(self.segments)))
+        return type(self)(tuple(s.reverse() for s in reversed(self.segments)))
 
     def __add__(self, other: "Path") -> "Path":
         return Path(self.segments + other.segments)
@@ -315,7 +317,7 @@ class PathLoop(Path):
 
     def __init__(self, segments: Iterable[Segment]):
         super().__init__(segments)
-        if abs(self.start - self.end) > _CLOSURE_TOL:
+        if not _joins(self.start, self.end):
             raise ValueError("loop is not closed")
 
     @property
@@ -332,9 +334,6 @@ class PathLoop(Path):
                 area += p.real * q.imag - q.real * p.imag
         return area > 0
 
-    def reverse(self) -> "PathLoop":
-        return PathLoop(tuple(s.reverse() for s in reversed(self.segments)))
-
     @classmethod
     def circle(cls, center: complex, radius: float,
                base_angle: float = 0.0, ccw: bool = True) -> "PathLoop":
@@ -345,7 +344,7 @@ class PathLoop(Path):
     @classmethod
     def polygon(cls, vertices: Sequence[complex]) -> "PathLoop":
         pts = [complex(p) for p in vertices]
-        if abs(pts[0] - pts[-1]) > _CLOSURE_TOL:
+        if not _joins(pts[0], pts[-1]):
             pts.append(pts[0])
         return cls(tuple(LineSegment(p, q) for p, q in zip(pts, pts[1:])))
 
@@ -366,7 +365,7 @@ class PathLoop(Path):
                 raise ValueError(f"unknown segment kind {s['kind']!r}")
         loop = cls(tuple(segs))
         base = complex(*data["base"])
-        if not cmath.isfinite(base) or abs(loop.base - base) > _CLOSURE_TOL:
+        if not (cmath.isfinite(base) and _joins(loop.base, base)):
             raise ValueError("declared base does not match the first segment")
         return loop
 
@@ -438,13 +437,12 @@ def parallel_transport(theta: HiggsField, path: Path,
     The path must keep distance >= pole_clearance from every pole of the
     field (PoleTooClose otherwise).
     """
-    for seg in path.segments:
-        for p in theta.poles:
-            d = seg.min_distance(p)
-            if d < controls.pole_clearance * (1 - 1e-12):
-                raise PoleTooClose(
-                    f"path comes within {d:.3e} of pole {p!r} "
-                    f"(clearance {controls.pole_clearance:.3e})")
+    for p in theta.poles:
+        d = path.min_distance(p)
+        if d < controls.pole_clearance * (1 - 1e-12):
+            raise PoleTooClose(
+                f"path comes within {d:.3e} of pole {p!r} "
+                f"(clearance {controls.pole_clearance:.3e})")
     y = np.eye(2, dtype=complex)
     for seg in path.segments:
         y = _integrate_segment(theta, seg, y, controls.rtol, controls.atol)

@@ -141,14 +141,6 @@ class CurvatureSample:
     first_form: np.ndarray
     second_form: np.ndarray
 
-    def to_json(self) -> dict:
-        return {
-            "z": [self.z.real, self.z.imag],
-            "H": self.H,
-            "first_form": self.first_form.tolist(),
-            "second_form": self.second_form.tolist(),
-        }
-
 
 def _dyadic(x: float) -> tuple[int, int]:
     """(n, e) with x = n / 2^e exactly."""
@@ -262,7 +254,7 @@ def mean_curvature(frame: BryantFrame, z: complex,
     i00, i01, i11 = -_mink(fu, fu), -_mink(fu, fv), -_mink(fv, fv)
     det_i = i00 * i11 - i01 * i01
     gram = i00 * i11
-    if gram == 0 or det_i <= 0 or det_i * 10 ** 18 < gram:
+    if det_i <= 0 or det_i * 10 ** 18 < gram:
         raise DegenerateMetric(f"first fundamental form singular at {z!r}")
 
     m = _normal_direction(c00, fu, fv)

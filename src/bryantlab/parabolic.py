@@ -50,10 +50,6 @@ class MarkedPoint:
     def __post_init__(self):
         object.__setattr__(self, "weight", _as_weight(self.weight))
 
-    def to_json(self) -> dict:
-        return {"label": self.label,
-                "weight": [self.weight.numerator, self.weight.denominator]}
-
 
 @dataclass(frozen=True)
 class ParabolicData:
@@ -77,10 +73,6 @@ class ParabolicData:
     @property
     def weight_sum(self) -> Fraction:
         return sum((p.weight for p in self.points), start=Fraction(0))
-
-    def to_json(self) -> dict:
-        return {"genus": self.genus,
-                "points": [p.to_json() for p in self.points]}
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,13 @@ class LaurentPoly:
                     c[int(e)] = g
         self._c = c
 
+    @classmethod
+    def _of(cls, c: dict[int, GaussianRational]) -> "LaurentPoly":
+        """Wrap a map that already holds no zero coefficients."""
+        out = cls.__new__(cls)
+        out._c = c
+        return out
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -200,14 +207,10 @@ class LaurentPoly:
                 c.pop(e, None)
             else:
                 c[e] = s
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+        return LaurentPoly._of(c)
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: -v for e, v in self._c.items()}
-        return out
+        return LaurentPoly._of({e: -v for e, v in self._c.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -222,23 +225,17 @@ class LaurentPoly:
                     c.pop(e, None)
                 else:
                     c[e] = s
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+        return LaurentPoly._of(c)
 
     def scale(self, k: CoeffLike) -> "LaurentPoly":
         g = GaussianRational.coerce(k)
         if g.is_zero:
             return LaurentPoly.zero()
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: v * g for e, v in self._c.items()}
-        return out
+        return LaurentPoly._of({e: v * g for e, v in self._c.items()})
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e + k: v for e, v in self._c.items()}
-        return out
+        return LaurentPoly._of({e + k: v for e, v in self._c.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -253,9 +250,7 @@ class LaurentPoly:
         return result
 
     def derivative(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e - 1: v * e for e, v in self._c.items() if e != 0}
-        return out
+        return LaurentPoly._of({e - 1: v * e for e, v in self._c.items() if e != 0})
 
     # -- evaluation --------------------------------------------------------------
 
@@ -401,12 +396,6 @@ class LaurentMatrix:
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         return LaurentMatrix(*(p + q for p, q in zip(self.entries, other.entries)))
 
-    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        return LaurentMatrix(*(p - q for p, q in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "LaurentMatrix":
-        return LaurentMatrix(*(-p for p in self.entries))
-
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         return LaurentMatrix(
             self.a * other.a + self.b * other.c,
@@ -414,9 +403,6 @@ class LaurentMatrix:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def scale(self, k: CoeffLike) -> "LaurentMatrix":
-        return LaurentMatrix(*(p.scale(k) for p in self.entries))
 
     def swap_columns(self) -> "LaurentMatrix":
         return LaurentMatrix(self.b, self.a, self.d, self.c)

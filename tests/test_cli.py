@@ -251,6 +251,19 @@ class TestHolonomy:
         assert out == ""
         assert "loop file" in err
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_nonpositive_arc_radius_is_input_error(self, capsys, write_json,
+                                                   radius):
+        field = write_json("quarter.json", model_end_field(Fraction(1, 4)).to_json())
+        loops = write_json("loop.json", {
+            "base": [radius, 0.0],
+            "segments": [{"kind": "arc", "center": [0.0, 0.0], "radius": radius,
+                          "angle0": 0.0, "angle1": 2 * math.pi}]})
+        code, out, err = run(capsys, "holonomy", field, loops)
+        assert code == 2
+        assert out == ""
+        assert "loop file" in err
+
     def test_pole_on_path_is_library_error(self, capsys, write_json, loop_file):
         field = write_json("half.json", model_end_field(Fraction(1, 2)).to_json())
         loops = loop_file("tiny.json", [PathLoop.circle(0j, 1e-5)])

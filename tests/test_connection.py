@@ -7,6 +7,7 @@ against hand arithmetic or structural identities.
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -184,9 +185,44 @@ class TestPaths:
         # point behind the arc: nearest endpoint wins
         assert abs(arc.min_distance(-2j) - abs(-2j - 1)) < 1e-12
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_arc_radius_must_be_positive(self, radius):
+        # a negative radius still traces a circle, but min_distance would
+        # measure |r - radius| against it and let a pole on the path pass
+        with pytest.raises(ValueError, match="radius must be positive"):
+            ArcSegment(0j, radius, 0.0, 2 * math.pi)
+
+    def test_arc_min_distance_matches_sampling(self):
+        rng = random.Random(20061)
+        n = 4000
+        t = np.arange(n + 1) / n
+        for _ in range(300):
+            center = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            radius = rng.uniform(0.1, 4.0)
+            angle0 = rng.uniform(-50.0, 50.0)
+            angle1 = angle0 + rng.choice((-1, 1)) * rng.uniform(0.0, 9.0)
+            arc = ArcSegment(center, radius, angle0, angle1)
+            w = complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
+            sampled = np.abs(center + radius * np.exp(
+                1j * (angle0 + t * (angle1 - angle0))) - w).min()
+            # every arc point is within half a sample spacing of a sample
+            resolution = radius * abs(angle1 - angle0) / (2 * n)
+            d = arc.min_distance(w)
+            assert d <= sampled + 1e-12
+            assert d >= sampled - resolution - 1e-12
+
     def test_path_join_validation(self):
         with pytest.raises(ValueError):
             Path([LineSegment(0j, 1), LineSegment(2, 3)])
+
+    @pytest.mark.parametrize("radius", [1e7, 1e8])
+    def test_large_circle_closes_and_round_trips(self, radius):
+        # rounding in e^{2πi} leaves the endpoints about 2.4e-9 apart at
+        # radius 1e7; closure is judged relative to the points' size
+        loop = PathLoop.circle(0j, radius)
+        again = PathLoop.from_json(loop.to_json())
+        assert again.base == loop.base
+        assert again.segments == loop.segments
 
     def test_polyline_and_concat(self):
         p = Path.polyline([0, 1, 1 + 1j])
@@ -250,6 +286,12 @@ class TestTransport:
         with pytest.raises(PoleTooClose):
             parallel_transport(model_end_field(Fraction(1, 4)),
                                PathLoop.circle(0j, 5e-4))
+
+    def test_pole_too_close_reports_the_closest_approach(self):
+        # the first segment passes the pole at 5e-4, the second ends at 1e-4
+        path = Path.polyline([-1 + 5e-4j, 1 + 5e-4j, 1e-4])
+        with pytest.raises(PoleTooClose, match="within 1.000e-04 of pole"):
+            parallel_transport(model_end_field(Fraction(1, 4)), path)
 
     def test_tolerance_not_met(self):
         controls = DEFAULTS.with_(rtol=1e-30, atol=1e-30)

@@ -1,4 +1,4 @@
-"""Source hygiene: no unused imports, no dangling public names.
+"""Source hygiene: no unused imports, private names or dangling public names.
 
 Parsed with the standard-library ast module, so the check needs no lint
 tool and runs with the rest of the suite.
@@ -28,6 +28,24 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     return bound
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private (_name) module-level function, class or constant -> its line."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
 def test_modules_found():
     assert len(MODULES) >= 5
 
@@ -39,6 +57,18 @@ def test_every_import_is_used(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_loaded(path):
+    # a private name is the module's own business: if nothing in the
+    # module reads it, it is dead
+    tree = ast.parse(path.read_text(), filename=str(path))
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = {name: line for name, line in private_definitions(tree).items()
+              if name not in loaded}
+    assert not unused, f"{path.name}: private names never loaded {unused}"
 
 
 def test_all_names_resolve():
