@@ -13,16 +13,16 @@ end Θ = -diag(α, -α) dz/z the transport around a counterclockwise unit
 circle is diag(e^{2πiα}, e^{-2πiα}); this integrator is the package's
 ground truth for holonomy conventions.
 
-The integrator is an embedded Dormand-Prince 5(4) pair with standard
-proportional step control.  The flow preserves det Y = 1 exactly (the
-generator is trace-free), so each accepted step is renormalized by
-1/sqrt(det Y); this keeps the determinant defect at roundoff level without
-touching the unitarity defects that the period-problem verdicts measure.
+Cleared of z^-lo, N and den are polynomials and den·Y' = -N·Y, so the
+Taylor coefficients of Y, N(c + w) and den(c + w) at a centre c obey
+den_0 (m+1) y_{m+1} = -Σ_k N_k y_{m-k} - Σ_{k>=1} den_k (m+1-k) y_{m+1-k}.
+A step sums that series over at most half the distance to the nearest pole.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -373,61 +373,42 @@ class PathLoop(Path):
 # ---------------------------------------------------------------------------
 # transport
 
-# Dormand-Prince 5(4): stage weights, 5th-order row, and the embedded
-# error row (difference of the 5th- and 4th-order weights).
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-         -17253 / 339200, 22 / 525, -1 / 40)
-
-_MIN_STEP = 1e-12
-_SAFETY = 0.9
+_FLOOR = 2.0 ** -50   # 4 eps: the rounding floor of a step, per max(1, |Y|)
 
 
-def _unimodular(y: np.ndarray) -> np.ndarray:
-    det = y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0]
-    return y / cmath.sqrt(det)
+def _shift(a: list, c: complex) -> list:
+    """Ascending coefficients of p(c + w) from those a of p(z)."""
+    return [sum(math.comb(j, k) * a[j] * c ** (j - k) for j in range(k, len(a)))
+            for k in range(len(a))]
 
 
-def _integrate_segment(theta: HiggsField, seg: Segment, y: np.ndarray,
-                       rtol: float, atol: float) -> np.ndarray:
-    def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        return -(theta.value(seg.at(t)) * seg.velocity(t)) @ state
-
-    t, h = 0.0, 0.1
-    # an overflow in the stages shows up as a non-finite error estimate,
-    # which raises below; numpy need not warn about it first
-    with np.errstate(over="ignore", invalid="ignore"):
-        while t < 1.0:
-            h = min(h, 1.0 - t)
-            k = [rhs(t, y)]
-            for i in range(1, 7):
-                acc = sum((a * ki for a, ki in zip(_DP_A[i], k)), start=np.zeros((2, 2), complex))
-                k.append(rhs(t + _DP_C[i] * h, y + h * acc))
-            y5 = y + h * sum(a * ki for a, ki in zip(_DP_A[6], k))
-            err_mat = h * sum(e * ki for e, ki in zip(_DP_E, k))
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = math.sqrt(float(np.mean(np.abs(err_mat / scale) ** 2)))
-            if not math.isfinite(err):
-                raise ToleranceNotMet(
-                    f"non-finite error estimate at t={t:.6f} on {type(seg).__name__}")
-            if err <= 1.0:
-                t += h
-                y = _unimodular(y5)
-            factor = _SAFETY * err ** -0.2 if err > 0 else 5.0
-            h *= min(5.0, max(0.2, factor))
-            if h < _MIN_STEP and t < 1.0:
-                raise ToleranceNotMet(
-                    f"step underflow at t={t:.6f} on {type(seg).__name__}")
-    return y
+def _taylor_step(n: list, d: list, y: tuple, h: complex, ratio: float,
+                 tol: float) -> tuple:
+    """Y(c + h) from y = Y(c) and the coefficients of N and den at c; stops
+    once ratio/(1 - ratio) times the largest of the last K terms is within
+    max(tol, floor)·max(1, |S|), S the partial sum."""
+    order = max(len(n), 1)
+    # term m+1 = -Σ_j (N_j + (m-j) den_{j+1}) h^{j+1} term_{m-j} / (den_0 (m+1))
+    nh = [[x * h ** (j + 1) / d[0] for x in nj] for j, nj in enumerate(n)]
+    dh = [x * h ** (j + 1) / d[0] for j, x in enumerate(d[1:])] + [0j] * order
+    terms, sizes, s = [y], [sum(map(abs, y))], y
+    for m in itertools.count():
+        a0 = a1 = a2 = a3 = 0j
+        for j, ((p, q, u, v), e, (y0, y1, y2, y3)) in enumerate(zip(nh, dh, terms)):
+            e *= m - j
+            a0 += (p + e) * y0 + q * y2
+            a1 += (p + e) * y1 + q * y3
+            a2 += u * y0 + (v + e) * y2
+            a3 += u * y1 + (v + e) * y3
+        g = -1 / (m + 1)
+        z = (a0 * g, a1 * g, a2 * g, a3 * g)
+        # the last K terms, newest first
+        terms, sizes = ([z] + terms)[:order], ([sum(map(abs, z))] + sizes)[:order]
+        if not math.isfinite(sizes[0]):
+            raise ToleranceNotMet(f"Taylor term {m + 1} is not finite")
+        s = [a + b for a, b in zip(s, z)]
+        if max(sizes) * ratio / (1 - ratio) <= max(tol, _FLOOR) * max(1.0, *map(abs, s)):
+            return tuple(s)
 
 
 def parallel_transport(theta: HiggsField, path: Path,
@@ -443,10 +424,40 @@ def parallel_transport(theta: HiggsField, path: Path,
             raise PoleTooClose(
                 f"path comes within {d:.3e} of pole {p!r} "
                 f"(clearance {controls.pole_clearance:.3e})")
-    y = np.eye(2, dtype=complex)
-    for seg in path.segments:
-        y = _integrate_segment(theta, seg, y, controls.rtol, controls.atol)
-    return y
+    if min(controls.rtol, controls.atol) < _FLOOR:
+        raise ToleranceNotMet(f"tolerances below the rounding floor {_FLOOR:.1e}")
+    # clear z^-lo (then den(0) = 0 only at a pole); N gets >= deg(den) terms
+    ents = theta.num.entries
+    lo = min(p.valuation() for p in ents + (theta.den,) if not p.is_zero)
+    hi = max([p.degree() for p in ents if not p.is_zero] + [theta.den.degree() - 1])
+    n = [tuple(p.coeff(e).to_complex() for p in ents) for e in range(lo, hi + 1)]
+    d = [theta.den.coeff(e).to_complex() for e in range(lo, theta.den.degree() + 1)]
+    length = sum(abs(seg.velocity(0.0)) for seg in path.segments)
+    y = (1 + 0j, 0j, 0j, 1 + 0j)
+    try:
+        for seg in path.segments:
+            speed = abs(seg.velocity(0.0))
+            t, c = (0.0 if speed else 1.0), seg.at(0.0)
+            while t < 1.0:
+                nc = list(zip(*(_shift(col, c) for col in zip(*n))))
+                dc = _shift(d, c)
+                if theta.poles:   # the series converges up to the nearest pole
+                    rho = min(abs(c - p) for p in theta.poles)
+                else:   # Θ = Σ Θ_k w^k: Σ ||Θ_k|| (rho/2)^{k+1} <= Σ 2^{-k-1} < 1
+                    r = max(((sum(map(abs, nk)) / abs(dc[0])) ** (1 / (k + 1))
+                             for k, nk in enumerate(nc)), default=0.0)
+                    rho = 1 / r if r else math.inf
+                dt = 0.5 * rho / speed   # chord <= arc <= rho/2
+                if not dt >= 2.0 ** -52:   # the resolution of t near 1
+                    raise ToleranceNotMet(f"step {dt:.1e} below 2^-52 at t={t!r}")
+                t_next = min(1.0, t + dt)
+                h = seg.at(t_next) - c
+                y = _taylor_step(nc, dc, y, h, abs(h) / rho, speed * (t_next - t)
+                                 / length * min(controls.rtol, controls.atol))
+                t, c = t_next, seg.at(t_next)
+    except OverflowError:
+        raise ToleranceNotMet("transport leaves the double range") from None
+    return np.array(y, dtype=complex).reshape(2, 2)
 
 
 # ---------------------------------------------------------------------------

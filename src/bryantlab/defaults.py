@@ -2,7 +2,7 @@
 
 NumericControls holds every tolerance and step a user may set, so a job
 is reproducible from one record.  Fixed thresholds that no user tunes
-(path closure, root matching, the integrator's minimum step, the
+(path closure, root matching, the transport's rounding floor, the
 Minkowski point check) are private constants or literals next to their
 single user.  The exact (rational) layer has no knobs.
 Each field must be positive and finite; NumericControls raises ValueError
@@ -14,8 +14,8 @@ that uses it: surface takes --step, holonomy the other four.
 field                   default  used by
 ======================  =======  ==============================================
 step                    1e-4     finite-difference stencil in mean_curvature
-rtol                    1e-10    adaptive transport, relative error control
-atol                    1e-12    adaptive transport, absolute error control
+rtol                    1e-10    transport tails <= min(rtol, atol)·max(1, |Y|)
+atol                    1e-12    transport, with rtol as above
 su2_tol                 1e-8     unitarity / det-1 defects in holonomy verdicts
 pole_clearance          1e-3     minimum path distance to any connection pole
 ======================  =======  ==============================================

@@ -37,7 +37,7 @@ class PoleTooClose(BryantLabError):
 
 
 class ToleranceNotMet(BryantLabError):
-    """The adaptive integrator cannot reach tolerance at the minimum step."""
+    """Transport cannot meet its tolerance in double precision."""
 
 
 class NotNull(BryantLabError):

@@ -42,6 +42,7 @@ import cmath
 import math
 import sys
 from dataclasses import astuple, dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -98,8 +99,11 @@ def immerse(frame: BryantFrame, z: complex) -> MinkowskiPoint:
 
 
 def hyperbolic_distance(p: MinkowskiPoint, q: MinkowskiPoint) -> float:
-    """Geodesic distance: cosh d = <p, q>."""
-    return math.acosh(max(_mink(astuple(p), astuple(q)), 1.0))
+    """Geodesic distance 2·asinh(√s / 2), s = -<p - q, p - q> formed exactly."""
+    v = [Fraction(a) - Fraction(b) for a, b in zip(astuple(p), astuple(q))]
+    s = max(-_mink(v, v), 0)
+    return (2 * math.asinh(math.sqrt(s) / 2) if s < 1e300   # else = ln s to 1 ulp
+            else math.log(s.numerator) - math.log(s.denominator))
 
 
 # ---------------------------------------------------------------------------

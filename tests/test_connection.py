@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bryantlab.connection import (ArcSegment, HiggsField, LineSegment, Path,
                                   PathLoop, cousin_data, det_higgs,
@@ -336,6 +337,89 @@ class TestTransport:
         a = parallel_transport(theta, circle)
         b = parallel_transport(theta, square)
         assert np.linalg.norm(a - b) < 1e-9
+
+
+def two_pole_field():
+    """Residues diag(-1/4, 1/4) at 0 and [[0, -1/4], [-1/4, 0]] at 1."""
+    q = Fraction(1, 4)
+    g0 = LaurentMatrix.diagonal(LaurentPoly.constant(-q), LaurentPoly.constant(q))
+    g1 = LaurentMatrix(ZERO, LaurentPoly.constant(-q), LaurentPoly.constant(-q), ZERO)
+    return simple_pole_field([(0, g0), (1, g1)])
+
+
+def hexagon(center, radius, rotation):
+    return PathLoop.polygon([center + radius * cmath.exp(1j * (rotation + k * math.pi / 3))
+                             for k in range(6)])
+
+
+class TestTaylorTransport:
+    """Closed forms for the Taylor-series transport."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fractions(min_value=0, max_value=1, max_denominator=1000)
+           .filter(lambda a: 0 < a < 1),
+           st.floats(min_value=-10, max_value=10),
+           st.floats(min_value=-2, max_value=3).map(lambda e: 10 ** e))
+    def test_model_end_oracle(self, alpha, base_angle, radius):
+        y = parallel_transport(model_end_field(alpha),
+                               PathLoop.circle(0j, radius, base_angle))
+        w = cmath.exp(2j * math.pi * float(alpha))
+        assert np.linalg.norm(y - np.diag([w, 1 / w])) <= 1e-12
+        # no renormalization: det Y = 1 holds to the requested tolerance
+        assert abs(np.linalg.det(y) - 1) <= DEFAULTS.atol
+
+    def test_constant_nilpotent_field_is_linear(self):
+        # Θ² = 0, so Y = I - Θ·Δz; every term past the first vanishes
+        b = GaussianRational(Fraction(3), Fraction(-2))
+        theta = HiggsField(LaurentMatrix(ZERO, LaurentPoly.constant(b), ZERO, ZERO))
+        start, dz = 0.5 + 0j, 4 - 3j
+        y = parallel_transport(theta, Path.polyline([start, start + dz]))
+        assert y[0, 0] == 1 and y[1, 1] == 1 and y[1, 0] == 0
+        assert abs(y[0, 1] + (3 - 2j) * dz) <= 1e-14 * abs(dz)
+
+    def test_constant_diagonal_field_over_a_long_segment(self):
+        # Y = diag(e^-50, e^50): each entry to relative accuracy, which one
+        # series over the whole segment would lose to cancellation
+        theta = HiggsField(LaurentMatrix.diagonal(LaurentPoly.constant(5),
+                                                  LaurentPoly.constant(-5)))
+        y = parallel_transport(theta, Path.polyline([0, 10]))
+        assert y[0, 1] == 0 and y[1, 0] == 0
+        assert abs(y[0, 0] / math.exp(-50) - 1) <= 1e-12
+        assert abs(y[1, 1] / math.exp(50) - 1) <= 1e-12
+
+    @pytest.mark.parametrize("pole", [0j, 1 + 0j])
+    @pytest.mark.parametrize("shape", ["circle 0.3", "circle 0.5", "circle 0.95",
+                                       "hexagon 0.6"])
+    def test_two_pole_trace_oracle(self, pole, shape):
+        # each loop encloses one pole with residue eigenvalues ±1/4, so
+        # tr U = 2cos(π/2) = 0 and det U = 1, whatever the base point
+        kind, radius = shape.split()
+        loop = (PathLoop.circle(pole, float(radius), base_angle=2.0) if kind == "circle"
+                else hexagon(pole, float(radius), 0.4))
+        u = parallel_transport(two_pole_field(), loop)
+        assert abs(np.trace(u)) <= 1e-12
+        assert abs(np.linalg.det(u) - 1) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(7, 10)])
+    def test_line_at_exactly_the_clearance(self, alpha):
+        # the line passes 1e-3 = pole_clearance above the pole at 0; along
+        # it Y = diag((z/z0)^α, (z/z0)^-α) on the principal branch
+        z0, z1 = -1 + 1e-3j, 1 + 1e-3j
+        y = parallel_transport(model_end_field(alpha), Path.polyline([z0, z1]))
+        log = float(alpha) * (cmath.log(z1) - cmath.log(z0))
+        assert np.linalg.norm(y - np.diag([cmath.exp(log), cmath.exp(-log)])) <= 1e-12
+
+    def test_tolerance_just_below_the_rounding_floor(self):
+        theta = model_end_field(Fraction(1, 3))
+        parallel_transport(theta, unit_circle(), DEFAULTS.with_(rtol=1e-15, atol=1e-15))
+        with pytest.raises(ToleranceNotMet):
+            parallel_transport(theta, unit_circle(), DEFAULTS.with_(atol=1e-16))
+
+    def test_huge_polynomial_field_raises_instead_of_crawling(self):
+        # ||Θ|| = 1e20 asks for steps of 1e-20 on a unit segment
+        theta = HiggsField(LaurentMatrix(ZERO, LaurentPoly.constant(10 ** 20), ZERO, ZERO))
+        with pytest.raises(ToleranceNotMet):
+            parallel_transport(theta, Path.polyline([0, 1]))
 
 
 class TestHolonomy:

@@ -234,6 +234,19 @@ class TestDistance:
         q = MinkowskiPoint(math.cosh(2.0), 0.0, 0.0, math.sinh(2.0))
         assert abs(hyperbolic_distance(p, q) - 2.0) < 1e-12
 
+    @pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-6, 1e-3, 0.5, 5.0])
+    def test_diagonal_oracle_down_to_close_points(self, t):
+        # acosh(<p, q>) returned 0.0 at t = 1e-9 and was 4.4e-5 off at 1e-6
+        p = MinkowskiPoint(1.0, 0.0, 0.0, 0.0)
+        q = MinkowskiPoint(math.cosh(t), 0.0, 0.0, math.sinh(t))
+        assert abs(hyperbolic_distance(p, q) - t) <= 1e-14 * t
+
+    def test_self_distance_far_from_the_origin(self):
+        # 5 from (1, 0, 0, 0); acosh(<p, p>) gave 1.9e-6 here
+        r = math.sinh(5.0)
+        p = MinkowskiPoint(math.cosh(5.0), 0.0, 0.6 * r, 0.8 * r)
+        assert hyperbolic_distance(p, p) == 0.0
+
     def test_symmetry_and_zero(self):
         p = immerse(catalog("horosphere"), 0.3 + 0.1j)
         q = immerse(catalog("horosphere"), -0.2 + 0.4j)
