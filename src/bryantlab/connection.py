@@ -16,7 +16,8 @@ ground truth for holonomy conventions.
 Cleared of z^-lo, N and den are polynomials and den·Y' = -N·Y, so the
 Taylor coefficients of Y, N(c + w) and den(c + w) at a centre c obey
 den_0 (m+1) y_{m+1} = -Σ_k N_k y_{m-k} - Σ_{k>=1} den_k (m+1-k) y_{m+1-k}.
-A step sums that series over at most half the distance to the nearest pole.
+A step sums that series over at most half the distance to the nearest
+pole, and less where Θ is so large that its terms would cancel (_radius).
 """
 
 from __future__ import annotations
@@ -382,11 +383,24 @@ def _shift(a: list, c: complex) -> list:
             for k in range(len(a))]
 
 
+def _radius(n: list, d: list) -> float:
+    """ρ = 1/max_k (||Θ_k||/(k+1))^{1/(k+1)} over the first len(n) coefficients
+    of Θ = N/den; in |w| <= ρ/2 the terms of Y sum to <= e·|Y| (exp ∫||Θ||)."""
+    th = []
+    for k, nk in enumerate(n):
+        th.append([(x - sum(d[j] * th[k - j][i] for j in range(1, min(k + 1, len(d)))))
+                   / d[0] for i, x in enumerate(nk)])
+    r = max([(max(abs(p) + abs(q), abs(u) + abs(v)) / (k + 1)) ** (1 / (k + 1))
+             for k, (p, q, u, v) in enumerate(th)] + [0.0])
+    return 1 / r if r else math.inf
+
+
 def _taylor_step(n: list, d: list, y: tuple, h: complex, ratio: float,
-                 tol: float) -> tuple:
+                 rtol: float, atol: float) -> tuple:
     """Y(c + h) from y = Y(c) and the coefficients of N and den at c; stops
     once ratio/(1 - ratio) times the largest of the last K terms is within
-    max(tol, floor)·max(1, |S|), S the partial sum."""
+    min(rtol·|S|, atol·max(1, |S|)), never below floor·max(1, |S|), |S| the
+    largest entry of the partial sum."""
     order = max(len(n), 1)
     # term m+1 = -Σ_j (N_j + (m-j) den_{j+1}) h^{j+1} term_{m-j} / (den_0 (m+1))
     nh = [[x * h ** (j + 1) / d[0] for x in nj] for j, nj in enumerate(n)]
@@ -407,7 +421,9 @@ def _taylor_step(n: list, d: list, y: tuple, h: complex, ratio: float,
         if not math.isfinite(sizes[0]):
             raise ToleranceNotMet(f"Taylor term {m + 1} is not finite")
         s = [a + b for a, b in zip(s, z)]
-        if max(sizes) * ratio / (1 - ratio) <= max(tol, _FLOOR) * max(1.0, *map(abs, s)):
+        big, scale = max(map(abs, s)), max(1.0, *map(abs, s))
+        if max(sizes) * ratio / (1 - ratio) <= max(min(rtol * big, atol * scale),
+                                                   _FLOOR * scale):
             return tuple(s)
 
 
@@ -416,7 +432,8 @@ def parallel_transport(theta: HiggsField, path: Path,
     """Y(1) for dY = -Θ(z) dz Y along the path, Y(0) = I.
 
     The path must keep distance >= pole_clearance from every pole of the
-    field (PoleTooClose otherwise).
+    field (PoleTooClose otherwise).  ToleranceNotMet is raised once the steps'
+    4·eps floors would pass tol = min(rtol, atol), so their tails sum to <= 2·tol.
     """
     for p in theta.poles:
         d = path.min_distance(p)
@@ -424,8 +441,7 @@ def parallel_transport(theta: HiggsField, path: Path,
             raise PoleTooClose(
                 f"path comes within {d:.3e} of pole {p!r} "
                 f"(clearance {controls.pole_clearance:.3e})")
-    if min(controls.rtol, controls.atol) < _FLOOR:
-        raise ToleranceNotMet(f"tolerances below the rounding floor {_FLOOR:.1e}")
+    tol = min(controls.rtol, controls.atol)
     # clear z^-lo (then den(0) = 0 only at a pole); N gets >= deg(den) terms
     ents = theta.num.entries
     lo = min(p.valuation() for p in ents + (theta.den,) if not p.is_zero)
@@ -433,27 +449,26 @@ def parallel_transport(theta: HiggsField, path: Path,
     n = [tuple(p.coeff(e).to_complex() for p in ents) for e in range(lo, hi + 1)]
     d = [theta.den.coeff(e).to_complex() for e in range(lo, theta.den.degree() + 1)]
     length = sum(abs(seg.velocity(0.0)) for seg in path.segments)
-    y = (1 + 0j, 0j, 0j, 1 + 0j)
+    y, steps = (1 + 0j, 0j, 0j, 1 + 0j), 0
     try:
         for seg in path.segments:
             speed = abs(seg.velocity(0.0))
             t, c = (0.0 if speed else 1.0), seg.at(0.0)
             while t < 1.0:
+                steps += 1
                 nc = list(zip(*(_shift(col, c) for col in zip(*n))))
                 dc = _shift(d, c)
-                if theta.poles:   # the series converges up to the nearest pole
-                    rho = min(abs(c - p) for p in theta.poles)
-                else:   # Θ = Σ Θ_k w^k: Σ ||Θ_k|| (rho/2)^{k+1} <= Σ 2^{-k-1} < 1
-                    r = max(((sum(map(abs, nk)) / abs(dc[0])) ** (1 / (k + 1))
-                             for k, nk in enumerate(nc)), default=0.0)
-                    rho = 1 / r if r else math.inf
+                rho = min([_radius(nc, dc)] + [abs(c - p) for p in theta.poles])
                 dt = 0.5 * rho / speed   # chord <= arc <= rho/2
-                if not dt >= 2.0 ** -52:   # the resolution of t near 1
-                    raise ToleranceNotMet(f"step {dt:.1e} below 2^-52 at t={t!r}")
+                # 2^-52 is the resolution of t near 1; each step rounds by up to 4 eps
+                if not (dt >= 2.0 ** -52 and steps * _FLOOR <= tol):
+                    raise ToleranceNotMet(
+                        f"step {steps} of {dt:.1e} at t={t!r}, tol {tol:.1e}")
                 t_next = min(1.0, t + dt)
                 h = seg.at(t_next) - c
-                y = _taylor_step(nc, dc, y, h, abs(h) / rho, speed * (t_next - t)
-                                 / length * min(controls.rtol, controls.atol))
+                share = speed * (t_next - t) / length   # of the path length
+                y = _taylor_step(nc, dc, y, h, abs(h) / rho,
+                                 share * controls.rtol, share * controls.atol)
                 t, c = t_next, seg.at(t_next)
     except OverflowError:
         raise ToleranceNotMet("transport leaves the double range") from None

@@ -14,8 +14,8 @@ that uses it: surface takes --step, holonomy the other four.
 field                   default  used by
 ======================  =======  ==============================================
 step                    1e-4     finite-difference stencil in mean_curvature
-rtol                    1e-10    transport tails <= min(rtol, atol)·max(1, |Y|)
-atol                    1e-12    transport, with rtol as above
+rtol                    1e-10    transport tails <= min(rtol·|Y|, atol·max(1, |Y|))
+atol                    1e-12    transport, as above (parallel_transport)
 su2_tol                 1e-8     unitarity / det-1 defects in holonomy verdicts
 pole_clearance          1e-3     minimum path distance to any connection pole
 ======================  =======  ==============================================

@@ -409,11 +409,26 @@ class TestTaylorTransport:
         log = float(alpha) * (cmath.log(z1) - cmath.log(z0))
         assert np.linalg.norm(y - np.diag([cmath.exp(log), cmath.exp(-log)])) <= 1e-12
 
-    def test_tolerance_just_below_the_rounding_floor(self):
+    def test_distant_pole_does_not_stretch_the_step(self):
+        # Θ = 5i·diag(1, -1)·(z - 1000)/(z - 1000): the pole is 1000 away, so
+        # Θ's size must bound the steps; Y = diag(e^{-50i}, e^{50i})
+        p = LaurentPoly({0: GaussianRational(0, -5000), 1: GaussianRational(0, 5)})
+        theta = HiggsField(LaurentMatrix.diagonal(p, -p), LaurentPoly({0: -1000, 1: 1}))
+        assert theta.poles == (1000,)
+        y = parallel_transport(theta, Path.polyline([0, 10]))
+        w = cmath.exp(-50j)
+        assert np.linalg.norm(y - np.diag([w, 1 / w])) <= 1e-12
+
+    def test_tolerance_at_the_rounding_of_the_steps(self):
+        # the unit circle takes 13 steps, whose 4·eps floors sum to 1.2e-14
         theta = model_end_field(Fraction(1, 3))
-        parallel_transport(theta, unit_circle(), DEFAULTS.with_(rtol=1e-15, atol=1e-15))
+        w = cmath.exp(2j * math.pi / 3)
+        for tol in (1e-12, 2e-14):
+            y = parallel_transport(theta, unit_circle(), DEFAULTS.with_(rtol=tol, atol=tol))
+            assert np.linalg.norm(y - np.diag([w, 1 / w])) <= tol
+            assert abs(np.linalg.det(y) - 1) <= tol
         with pytest.raises(ToleranceNotMet):
-            parallel_transport(theta, unit_circle(), DEFAULTS.with_(atol=1e-16))
+            parallel_transport(theta, unit_circle(), DEFAULTS.with_(rtol=1e-15, atol=1e-15))
 
     def test_huge_polynomial_field_raises_instead_of_crawling(self):
         # ||Θ|| = 1e20 asks for steps of 1e-20 on a unit segment
