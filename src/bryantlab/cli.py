@@ -86,6 +86,8 @@ def _load_matrix(spec: str) -> tuple[LaurentMatrix, frames.Annulus]:
 
 def _loops_from_json(data) -> list[connection.PathLoop]:
     entries = data["loops"] if isinstance(data, dict) and "loops" in data else [data]
+    if not entries:
+        raise ValueError("the loop list is empty")
     return [connection.PathLoop.from_json(e) for e in entries]
 
 
@@ -245,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "transport the loop generators and test SU(2)")
     p.add_argument("field", help="Higgs field JSON file")
     p.add_argument("loops", help="loop file (single loop or {'loops': [...]})")
-    _control_flags(p, "rtol", "atol", "su2_tol", "pole_clearance")
+    _control_flags(p, "atol", "su2_tol", "pole_clearance")
 
     p = command("end", cmd_end, "singular-end report for a frame")
     p.add_argument("alpha", help="weight in [0, 1), e.g. 1/2")

@@ -4,8 +4,8 @@ The Higgs field of a unit-determinant frame A is Θ = dA·A^{-1} =
 A'·adj(A) dz, a trace-free matrix of Laurent polynomials.  Singular model
 ends and multi-pole configurations need honest rational functions, so the
 general field is stored as a numerator matrix over a scalar denominator,
-Θ = (N / den) dz, with the pole set derived from den and from negative
-exponents of N.
+Θ = (N / den) dz, with N and den divided by their common factor and the
+pole set derived from den and from negative exponents of N.
 
 Flat sections satisfy ds = -Θ s; parallel transport along a path z(t)
 therefore integrates dY/dt = -Θ(z(t)) z'(t) Y, Y(0) = I.  For the model
@@ -44,7 +44,8 @@ _ONE = LaurentPoly.one()
 
 @dataclass(frozen=True)
 class HiggsField:
-    """Θ = (num / den) dz with trace-free numerator."""
+    """Θ = (num / den) dz with trace-free numerator; a factor common to den
+    and every entry of num is cancelled on construction."""
 
     num: LaurentMatrix
     den: LaurentPoly = field(default_factory=LaurentPoly.one)
@@ -55,7 +56,10 @@ class HiggsField:
             raise ValueError("denominator must be nonzero")
         if not self.num.trace().is_zero:
             raise ValueError("Higgs numerator must be trace-free")
-        object.__setattr__(self, "poles", _pole_set(self.num, self.den))
+        num, den = _cancel(self.num, self.den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "poles", _pole_set(num, den))
 
     def value(self, z: complex) -> np.ndarray:
         return self.num.evaluate(z) / self.den(complex(z))
@@ -67,6 +71,34 @@ class HiggsField:
     def from_json(cls, data) -> "HiggsField":
         return cls(LaurentMatrix.from_json(data["numerator"]),
                    LaurentPoly.from_json(data["denominator"]))
+
+
+def _divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Quotient and remainder of polynomials in z over Q(i); b is nonzero."""
+    q, lead = LaurentPoly.zero(), b.coeff(b.degree())
+    while not a.is_zero and a.degree() >= b.degree():
+        t = LaurentPoly.monomial(a.degree() - b.degree(), a.coeff(a.degree()) / lead)
+        q, a = q + t, a - t * b
+    return q, a
+
+
+def _cancel(num: LaurentMatrix, den: LaurentPoly) -> tuple[LaurentMatrix, LaurentPoly]:
+    """num and den divided by their monic gcd, which Euclid finds once each is
+    stripped of z^valuation, so that a removable singularity is not a pole."""
+    def strip(p):
+        return p if p.is_zero else p.shift(-p.valuation())
+
+    g = strip(den)
+    for p in map(strip, num.entries):
+        while not p.is_zero and g.degree():
+            g, p = p, _divmod(g, p)[1]
+    if not g.degree():
+        return num, den
+    g = g.scale(GaussianRational(1) / g.coeff(g.degree()))
+
+    def quo(p):
+        return p if p.is_zero else _divmod(strip(p), g)[0].shift(p.valuation())
+    return num.map(quo), quo(den)
 
 
 def _pole_set(num: LaurentMatrix, den: LaurentPoly) -> tuple[complex, ...]:
@@ -345,7 +377,7 @@ class PathLoop(Path):
     @classmethod
     def polygon(cls, vertices: Sequence[complex]) -> "PathLoop":
         pts = [complex(p) for p in vertices]
-        if not _joins(pts[0], pts[-1]):
+        if pts and not _joins(pts[0], pts[-1]):
             pts.append(pts[0])
         return cls(tuple(LineSegment(p, q) for p, q in zip(pts, pts[1:])))
 
@@ -396,11 +428,10 @@ def _radius(n: list, d: list) -> float:
 
 
 def _taylor_step(n: list, d: list, y: tuple, h: complex, ratio: float,
-                 rtol: float, atol: float) -> tuple:
+                 atol: float) -> tuple:
     """Y(c + h) from y = Y(c) and the coefficients of N and den at c; stops
     once ratio/(1 - ratio) times the largest of the last K terms is within
-    min(rtol·|S|, atol·max(1, |S|)), never below floor·max(1, |S|), |S| the
-    largest entry of the partial sum."""
+    max(atol, floor)·max(1, |S|), |S| the largest entry of the partial sum."""
     order = max(len(n), 1)
     # term m+1 = -Σ_j (N_j + (m-j) den_{j+1}) h^{j+1} term_{m-j} / (den_0 (m+1))
     nh = [[x * h ** (j + 1) / d[0] for x in nj] for j, nj in enumerate(n)]
@@ -421,9 +452,8 @@ def _taylor_step(n: list, d: list, y: tuple, h: complex, ratio: float,
         if not math.isfinite(sizes[0]):
             raise ToleranceNotMet(f"Taylor term {m + 1} is not finite")
         s = [a + b for a, b in zip(s, z)]
-        big, scale = max(map(abs, s)), max(1.0, *map(abs, s))
-        if max(sizes) * ratio / (1 - ratio) <= max(min(rtol * big, atol * scale),
-                                                   _FLOOR * scale):
+        scale = max(1.0, *map(abs, s))
+        if max(sizes) * ratio / (1 - ratio) <= max(atol, _FLOOR) * scale:
             return tuple(s)
 
 
@@ -432,8 +462,10 @@ def parallel_transport(theta: HiggsField, path: Path,
     """Y(1) for dY = -Θ(z) dz Y along the path, Y(0) = I.
 
     The path must keep distance >= pole_clearance from every pole of the
-    field (PoleTooClose otherwise).  ToleranceNotMet is raised once the steps'
-    4·eps floors would pass tol = min(rtol, atol), so their tails sum to <= 2·tol.
+    field (PoleTooClose otherwise).  Each step holds its series tail within
+    max(share·atol, 4·eps)·max(1, |Y|), share its fraction of the path length;
+    ToleranceNotMet is raised once the 4·eps floors would sum past atol, so
+    the tails of a path sum to <= 2·atol·max(1, |Y|).
     """
     for p in theta.poles:
         d = path.min_distance(p)
@@ -441,7 +473,6 @@ def parallel_transport(theta: HiggsField, path: Path,
             raise PoleTooClose(
                 f"path comes within {d:.3e} of pole {p!r} "
                 f"(clearance {controls.pole_clearance:.3e})")
-    tol = min(controls.rtol, controls.atol)
     # clear z^-lo (then den(0) = 0 only at a pole); N gets >= deg(den) terms
     ents = theta.num.entries
     lo = min(p.valuation() for p in ents + (theta.den,) if not p.is_zero)
@@ -461,14 +492,13 @@ def parallel_transport(theta: HiggsField, path: Path,
                 rho = min([_radius(nc, dc)] + [abs(c - p) for p in theta.poles])
                 dt = 0.5 * rho / speed   # chord <= arc <= rho/2
                 # 2^-52 is the resolution of t near 1; each step rounds by up to 4 eps
-                if not (dt >= 2.0 ** -52 and steps * _FLOOR <= tol):
+                if not (dt >= 2.0 ** -52 and steps * _FLOOR <= controls.atol):
                     raise ToleranceNotMet(
-                        f"step {steps} of {dt:.1e} at t={t!r}, tol {tol:.1e}")
+                        f"step {steps} of {dt:.1e} at t={t!r}, atol {controls.atol:.1e}")
                 t_next = min(1.0, t + dt)
                 h = seg.at(t_next) - c
                 share = speed * (t_next - t) / length   # of the path length
-                y = _taylor_step(nc, dc, y, h, abs(h) / rho,
-                                 share * controls.rtol, share * controls.atol)
+                y = _taylor_step(nc, dc, y, h, abs(h) / rho, share * controls.atol)
                 t, c = t_next, seg.at(t_next)
     except OverflowError:
         raise ToleranceNotMet("transport leaves the double range") from None

@@ -8,14 +8,13 @@ single user.  The exact (rational) layer has no knobs.
 Each field must be positive and finite; NumericControls raises ValueError
 otherwise, so a NaN or a negative tolerance never reaches the integrator.
 Each field is also a flag (--su2-tol for su2_tol) of the CLI subcommand
-that uses it: surface takes --step, holonomy the other four.
+that uses it: surface takes --step, holonomy the other three.
 
 ======================  =======  ==============================================
 field                   default  used by
 ======================  =======  ==============================================
 step                    1e-4     finite-difference stencil in mean_curvature
-rtol                    1e-10    transport tails <= min(rtol·|Y|, atol·max(1, |Y|))
-atol                    1e-12    transport, as above (parallel_transport)
+atol                    1e-12    transport tails <= 2·atol·max(1, |Y|) per path
 su2_tol                 1e-8     unitarity / det-1 defects in holonomy verdicts
 pole_clearance          1e-3     minimum path distance to any connection pole
 ======================  =======  ==============================================
@@ -30,7 +29,6 @@ from dataclasses import dataclass, fields, replace
 @dataclass(frozen=True)
 class NumericControls:
     step: float = 1e-4
-    rtol: float = 1e-10
     atol: float = 1e-12
     su2_tol: float = 1e-8
     pole_clearance: float = 1e-3

@@ -8,10 +8,7 @@ pole-order bounds) be decided with == instead of thresholds.
 
 Representation: a polynomial is a map {exponent: coefficient} holding no
 zero coefficients; the empty map is the zero polynomial.  All values here
-are immutable; every operation returns a fresh object.  A polynomial
-builds its float Horner table (each coefficient rounded to a complex
-double once) on its first numeric evaluation away from 0 and keeps it;
-the table takes no part in equality, hashing or serialization.
+are immutable; every operation returns a fresh object.
 
 Serialization: ``to_json``/``from_json`` use rationals printed as
 decimal-free strings ("3/4", "-2"), terms sorted by exponent, so that
@@ -130,7 +127,7 @@ GR_ONE = GaussianRational(Fraction(1))
 class LaurentPoly:
     """Finite Laurent polynomial over Q(i), keyed by exponent."""
 
-    __slots__ = ("_c", "_floats")
+    __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[int, CoeffLike] | None = None):
         c: dict[int, GaussianRational] = {}
@@ -258,29 +255,21 @@ class LaurentPoly:
         """Numeric value at z; Horner on the regular and principal parts."""
         if not self._c:
             return 0j
+        lo, hi = min(self._c), max(self._c)
         z = complex(z)
         if z == 0:
-            if min(self._c) < 0:
+            if lo < 0:
                 raise PoleAtZero("evaluation at 0 with negative exponents")
             return self.coeff(0).to_complex()
-        try:
-            pos, neg = self._floats
-        except AttributeError:
-            # coefficients for exponents hi..0 and lo..-1, zeros kept; a
-            # coefficient beyond the double range raises and stores nothing
-            lo, hi = min(self._c), max(self._c)
-            pos = tuple(self.coeff(e).to_complex() for e in range(hi, -1, -1))
-            neg = tuple(self.coeff(e).to_complex() for e in range(lo, 0))
-            self._floats = pos, neg
         acc = 0j
-        for c in pos:
-            acc = acc * z + c
-        if neg:
+        for e in range(hi, -1, -1):
+            acc = acc * z + self.coeff(e).to_complex()
+        if lo < 0:
             w = 1.0 / z
-            s = 0j
-            for c in neg:
-                s = (s + c) * w
-            acc += s
+            neg = 0j
+            for e in range(lo, 0):
+                neg = (neg + self.coeff(e).to_complex()) * w
+            acc += neg
         return acc
 
     def eval_exact(self, z: GaussianRational) -> GaussianRational:

@@ -89,6 +89,7 @@ class TestVerify:
     "bounds 0 3 3 --format obj",
     "surface horosphere --format csv",
     "surface horosphere --rtol 1",
+    "holonomy f.json l.json --rtol 1",
 ])
 def test_flag_the_subcommand_does_not_read_exits_two(argv):
     with pytest.raises(SystemExit) as exc:
@@ -223,8 +224,14 @@ class TestHolonomy:
         code, _, err = run(capsys, "holonomy", field, loops)
         assert code == 2 and "loop file" in err
 
+    def test_empty_loop_list_is_input_error(self, capsys, write_json):
+        field = write_json("quarter.json", model_end_field(Fraction(1, 4)).to_json())
+        loops = write_json("loops.json", {"loops": []})
+        code, out, err = run(capsys, "holonomy", field, loops)
+        assert code == 2 and out == "" and "loop file" in err
+
     @pytest.mark.parametrize("flags", [
-        ("--rtol", "nan"), ("--rtol", "-1"), ("--atol", "0"),
+        ("--atol", "nan"), ("--atol", "-1"), ("--atol", "0"),
         ("--su2-tol", "-1"), ("--pole-clearance", "nan"),
     ])
     def test_invalid_control_is_input_error(self, capsys, write_json,

@@ -78,6 +78,20 @@ class TestHiggsField:
             b = model_end_field(alpha).value(z)
             assert np.allclose(a, b, atol=1e-14)
 
+    def test_removable_singularity_is_not_a_pole(self):
+        # Θ = 5i·diag(1, -1)·(z - 1000)/(z - 1000) is the constant 5i·diag(1, -1)
+        p = LaurentPoly({0: GaussianRational(0, -5000), 1: GaussianRational(0, 5)})
+        theta = HiggsField(LaurentMatrix.diagonal(p, -p), LaurentPoly({0: -1000, 1: 1}))
+        assert theta.poles == ()
+        y = parallel_transport(theta, Path.polyline([999, 1001]))
+        w = cmath.exp(-10j)
+        assert np.linalg.norm(y - np.diag([w, 1 / w])) <= 1e-12
+        # a zero residue leaves no pole behind
+        g = LaurentMatrix.diagonal(LaurentPoly.constant(-Fraction(1, 4)),
+                                   LaurentPoly.constant(Fraction(1, 4)))
+        zero = LaurentMatrix.diagonal(ZERO, ZERO)
+        assert simple_pole_field([(0, g), (1, zero)]).poles == (0j,)
+
     def test_json_round_trip(self):
         at_i = GaussianRational(Fraction(0), Fraction(1))
         theta = simple_pole_field([(0, LaurentMatrix.diagonal(ONE, -ONE)),
@@ -246,6 +260,9 @@ class TestPaths:
         assert sq.counterclockwise
         assert abs(sq.base - 1) < 1e-12
         assert len(sq.segments) == 4
+        for vertices in ([], [1j]):
+            with pytest.raises(ValueError):
+                PathLoop.polygon(vertices)
 
     def test_loop_json_round_trip(self):
         loop = PathLoop.polygon([1, 1j, -1, -1j])
@@ -295,14 +312,14 @@ class TestTransport:
             parallel_transport(model_end_field(Fraction(1, 4)), path)
 
     def test_tolerance_not_met(self):
-        controls = DEFAULTS.with_(rtol=1e-30, atol=1e-30)
+        controls = DEFAULTS.with_(atol=1e-30)
         with pytest.raises(ToleranceNotMet):
             parallel_transport(model_end_field(Fraction(1, 3)), unit_circle(),
                                controls)
 
     def test_nan_field_raises_instead_of_looping(self):
-        # α = 10^300 overflows the stages to inf and the error estimate to
-        # NaN; that raises, with no numpy warning on the way
+        # α = 10^300 asks for a first step of 8e-302, below the resolution
+        # 2^-52 of t; that raises, with no numpy warning on the way
         with pytest.raises(ToleranceNotMet):
             parallel_transport(model_end_field(Fraction(10 ** 300)),
                                PathLoop.circle(0j, 1.0))
@@ -410,25 +427,27 @@ class TestTaylorTransport:
         assert np.linalg.norm(y - np.diag([cmath.exp(log), cmath.exp(-log)])) <= 1e-12
 
     def test_distant_pole_does_not_stretch_the_step(self):
-        # Θ = 5i·diag(1, -1)·(z - 1000)/(z - 1000): the pole is 1000 away, so
-        # Θ's size must bound the steps; Y = diag(e^{-50i}, e^{50i})
-        p = LaurentPoly({0: GaussianRational(0, -5000), 1: GaussianRational(0, 5)})
+        # Θ = diag(1, -1)·(5i + (1/4)/(z - 1000)): the pole is 1000 away, so
+        # Θ's size must bound the steps; Y = diag(a, 1/a) on [0, 10] with
+        # a = e^{-50i}·(990/1000)^{-1/4}
+        p = LaurentPoly({0: GaussianRational(Fraction(1, 4), -5000),
+                         1: GaussianRational(0, 5)})
         theta = HiggsField(LaurentMatrix.diagonal(p, -p), LaurentPoly({0: -1000, 1: 1}))
         assert theta.poles == (1000,)
         y = parallel_transport(theta, Path.polyline([0, 10]))
-        w = cmath.exp(-50j)
-        assert np.linalg.norm(y - np.diag([w, 1 / w])) <= 1e-12
+        a = cmath.exp(-50j) * 0.99 ** -0.25
+        assert np.linalg.norm(y - np.diag([a, 1 / a])) <= 1e-12
 
     def test_tolerance_at_the_rounding_of_the_steps(self):
         # the unit circle takes 13 steps, whose 4·eps floors sum to 1.2e-14
         theta = model_end_field(Fraction(1, 3))
         w = cmath.exp(2j * math.pi / 3)
-        for tol in (1e-12, 2e-14):
-            y = parallel_transport(theta, unit_circle(), DEFAULTS.with_(rtol=tol, atol=tol))
+        for tol in (1e-6, 1e-12, 2e-14):
+            y = parallel_transport(theta, unit_circle(), DEFAULTS.with_(atol=tol))
             assert np.linalg.norm(y - np.diag([w, 1 / w])) <= tol
             assert abs(np.linalg.det(y) - 1) <= tol
         with pytest.raises(ToleranceNotMet):
-            parallel_transport(theta, unit_circle(), DEFAULTS.with_(rtol=1e-15, atol=1e-15))
+            parallel_transport(theta, unit_circle(), DEFAULTS.with_(atol=1e-15))
 
     def test_huge_polynomial_field_raises_instead_of_crawling(self):
         # ||Θ|| = 1e20 asks for steps of 1e-20 on a unit segment
@@ -470,8 +489,7 @@ class TestHolonomy:
         assert rep.tol == 1e-20
         assert not rep.passes
 
-    @pytest.mark.parametrize("name", ["step", "rtol", "atol", "su2_tol",
-                                      "pole_clearance"])
+    @pytest.mark.parametrize("name", ["step", "atol", "su2_tol", "pole_clearance"])
     def test_controls_must_be_positive_and_finite(self, name):
         for value in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=name):

@@ -5,11 +5,13 @@ tool and runs with the rest of the suite.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import bryantlab
+from bryantlab.defaults import NumericControls
 
 PACKAGE_DIR = Path(bryantlab.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
@@ -75,3 +77,12 @@ def test_all_names_resolve():
     missing = [name for name in bryantlab.__all__
                if not hasattr(bryantlab, name)]
     assert not missing
+
+
+def test_every_control_is_read():
+    # a NumericControls field that no module reads is a knob that does nothing
+    read = {node.attr for path in MODULES if path.name != "defaults.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f.name for f in fields(NumericControls) if f.name not in read]
+    assert not unread, f"NumericControls fields that no module reads: {unread}"
