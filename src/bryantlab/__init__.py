@@ -21,8 +21,7 @@ from .errors import (BryantLabError, DegenerateMetric, EmptyCandidateList,
                      RegionContainsPole, ToleranceNotMet, TrivialHolonomy,
                      UnknownName)
 from .frames import (Annulus, BryantFrame, FrameReport, CATALOG_NAMES,
-                     branch_points, catalog, check_bryant, check_special,
-                     omega_quadratic)
+                     branch_points, catalog, check_bryant, omega_quadratic)
 from .hyperbolic import (CurvatureSample, GridSpec, MinkowskiPoint,
                          SurfaceMesh, hyperbolic_distance, immerse,
                          mean_curvature, sample_mesh)
@@ -49,7 +48,7 @@ __all__ = [
     "StabilityReport", "SubbundleCandidate", "SurfaceMesh",
     "ToleranceNotMet", "TrivialHolonomy", "UnknownName", "bounds_csv",
     "bounds_table", "branch_points", "canonical_dumps", "catalog",
-    "check_bryant", "check_special", "cousin_data", "det_higgs",
+    "check_bryant", "cousin_data", "det_higgs",
     "end_report", "existence_bounds", "hermitian_pairing",
     "higgs_from_frame", "holonomy", "hyperbolic_distance", "immerse",
     "ktuy_check", "local_parabolic", "mean_curvature", "model_end_field",

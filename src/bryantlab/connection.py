@@ -4,8 +4,9 @@ The Higgs field of a unit-determinant frame A is Θ = dA·A^{-1} =
 A'·adj(A) dz, a trace-free matrix of Laurent polynomials.  Singular model
 ends and multi-pole configurations need honest rational functions, so the
 general field is stored as a numerator matrix over a scalar denominator,
-Θ = (N / den) dz, with N and den divided by their common factor and the
-pole set derived from den and from negative exponents of N.
+Θ = (N / den) dz, in one normal form: N and den are polynomials in z, at
+least one of them is nonzero at 0, and they are divided by their monic
+gcd.  The poles of Θ are then exactly the roots of den.
 
 Flat sections satisfy ds = -Θ s; parallel transport along a path z(t)
 therefore integrates dY/dt = -Θ(z(t)) z'(t) Y, Y(0) = I.  For the model
@@ -13,8 +14,8 @@ end Θ = -diag(α, -α) dz/z the transport around a counterclockwise unit
 circle is diag(e^{2πiα}, e^{-2πiα}); this integrator is the package's
 ground truth for holonomy conventions.
 
-Cleared of z^-lo, N and den are polynomials and den·Y' = -N·Y, so the
-Taylor coefficients of Y, N(c + w) and den(c + w) at a centre c obey
+As stored, den·Y' = -N·Y, so the Taylor coefficients of Y, N(c + w) and
+den(c + w) at a centre c obey
 den_0 (m+1) y_{m+1} = -Σ_k N_k y_{m-k} - Σ_{k>=1} den_k (m+1-k) y_{m+1-k}.
 A step sums that series over at most half the distance to the nearest
 pole, and less where Θ is so large that its terms would cancel (_radius).
@@ -44,8 +45,11 @@ _ONE = LaurentPoly.one()
 
 @dataclass(frozen=True)
 class HiggsField:
-    """Θ = (num / den) dz with trace-free numerator; a factor common to den
-    and every entry of num is cancelled on construction."""
+    """Θ = (num / den) dz with trace-free numerator, in normal form: num and
+    den are polynomials in z, one of them nonzero at 0, divided by their
+    monic gcd, so ``poles`` are the roots of den.  Descriptions of one Θ
+    that differ by a monic common factor, such as a file's older Laurent
+    form of the model end (z^-1 over 1), give equal fields."""
 
     num: LaurentMatrix
     den: LaurentPoly = field(default_factory=LaurentPoly.one)
@@ -56,10 +60,11 @@ class HiggsField:
             raise ValueError("denominator must be nonzero")
         if not self.num.trace().is_zero:
             raise ValueError("Higgs numerator must be trace-free")
-        num, den = _cancel(self.num, self.den)
+        num, den = _normal(self.num, self.den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "poles", _pole_set(num, den))
+        object.__setattr__(self, "poles", tuple(sorted(
+            laurent_roots(den), key=lambda w: (abs(w), w.real, w.imag))))
 
     def value(self, z: complex) -> np.ndarray:
         return self.num.evaluate(z) / self.den(complex(z))
@@ -82,9 +87,12 @@ def _divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     return q, a
 
 
-def _cancel(num: LaurentMatrix, den: LaurentPoly) -> tuple[LaurentMatrix, LaurentPoly]:
-    """num and den divided by their monic gcd, which Euclid finds once each is
-    stripped of z^valuation, so that a removable singularity is not a pole."""
+def _normal(num: LaurentMatrix, den: LaurentPoly) -> tuple[LaurentMatrix, LaurentPoly]:
+    """num and den times z^-lo, one of them nonzero at 0, over their monic gcd;
+    z cannot divide that gcd, so Euclid runs on polynomials stripped of z^k."""
+    lo = min(p.valuation() for p in num.entries + (den,) if not p.is_zero)
+    num, den = num.map(lambda p: p.shift(-lo)), den.shift(-lo)
+
     def strip(p):
         return p if p.is_zero else p.shift(-p.valuation())
 
@@ -101,15 +109,6 @@ def _cancel(num: LaurentMatrix, den: LaurentPoly) -> tuple[LaurentMatrix, Lauren
     return num.map(quo), quo(den)
 
 
-def _pole_set(num: LaurentMatrix, den: LaurentPoly) -> tuple[complex, ...]:
-    entry_val = min((p.valuation() for p in num.entries if not p.is_zero),
-                    default=0)
-    poles = [0j] if entry_val < den.valuation() else []
-    # nonzero roots of den: strip the z^v factor first so 0 never leaks in
-    poles += laurent_roots(den.shift(-den.valuation()))
-    return tuple(sorted(poles, key=lambda w: (abs(w), w.real, w.imag)))
-
-
 def higgs_from_frame(frame: Union[BryantFrame, LaurentMatrix]) -> HiggsField:
     """Θ = A'·adj(A) dz; requires det A = 1 exactly."""
     matrix = frame.matrix if isinstance(frame, BryantFrame) else frame
@@ -122,7 +121,7 @@ def model_end_field(alpha: CoeffLike) -> HiggsField:
     """The model singular end Θ = -diag(α, -α) dz/z, α in Q(i)."""
     a = GaussianRational.coerce(alpha)
     return HiggsField(LaurentMatrix.diagonal(
-        LaurentPoly.monomial(-1, -a), LaurentPoly.monomial(-1, a)))
+        LaurentPoly.constant(-a), LaurentPoly.constant(a)), LaurentPoly.z())
 
 
 def simple_pole_field(residues: Sequence[tuple[CoeffLike, LaurentMatrix]]) -> HiggsField:
@@ -139,11 +138,8 @@ def simple_pole_field(residues: Sequence[tuple[CoeffLike, LaurentMatrix]]) -> Hi
     for f in factors:
         den = den * f
     num = LaurentMatrix.diagonal(LaurentPoly.zero(), LaurentPoly.zero())
-    for i, (_, r) in enumerate(residues):
-        cof = LaurentPoly.one()
-        for j, f in enumerate(factors):
-            if j != i:
-                cof = cof * f
+    for f, (_, r) in zip(factors, residues):
+        cof = _divmod(den, f)[0]
         num = num + r.map(lambda p: p * cof)
     return HiggsField(num, den)
 
@@ -473,12 +469,11 @@ def parallel_transport(theta: HiggsField, path: Path,
             raise PoleTooClose(
                 f"path comes within {d:.3e} of pole {p!r} "
                 f"(clearance {controls.pole_clearance:.3e})")
-    # clear z^-lo (then den(0) = 0 only at a pole); N gets >= deg(den) terms
+    # N gets >= deg(den) terms
     ents = theta.num.entries
-    lo = min(p.valuation() for p in ents + (theta.den,) if not p.is_zero)
     hi = max([p.degree() for p in ents if not p.is_zero] + [theta.den.degree() - 1])
-    n = [tuple(p.coeff(e).to_complex() for p in ents) for e in range(lo, hi + 1)]
-    d = [theta.den.coeff(e).to_complex() for e in range(lo, theta.den.degree() + 1)]
+    n = [tuple(p.coeff(e).to_complex() for p in ents) for e in range(hi + 1)]
+    d = [theta.den.coeff(e).to_complex() for e in range(theta.den.degree() + 1)]
     length = sum(abs(seg.velocity(0.0)) for seg in path.segments)
     y, steps = (1 + 0j, 0j, 0j, 1 + 0j), 0
     try:
@@ -580,7 +575,10 @@ def holonomy(theta: HiggsField, loops: Sequence[PathLoop],
     """Transport every generator loop and check the results against SU(2).
 
     Every defect is judged against ``controls.su2_tol``; the report also
-    holds the commutator defect of each pair of generators.
+    holds the commutator defect of each pair of generators.  At least one
+    loop is required (ValueError otherwise).
     """
+    if not loops:
+        raise ValueError("at least one loop is required")
     mats = tuple(parallel_transport(theta, lp, controls) for lp in loops)
     return report_from_matrices(mats, controls.su2_tol)

@@ -104,29 +104,21 @@ class FrameReport:
     """Outcome of the symbolic frame checks.
 
     det_residual = det A - 1 and null_residual = det A', both exact, so a
-    failing check carries the witness polynomial.  null_residual is None
-    when only the determinant was checked.
+    failing check carries the witness polynomial.
     """
 
     is_special: bool
     is_bryant: bool
     det_residual: LaurentPoly
-    null_residual: LaurentPoly | None = None
+    null_residual: LaurentPoly
 
     def to_json(self) -> dict:
         return {
             "is_special": self.is_special,
             "is_bryant": self.is_bryant,
             "det_residual": self.det_residual.to_json(),
-            "null_residual": None if self.null_residual is None else self.null_residual.to_json(),
+            "null_residual": self.null_residual.to_json(),
         }
-
-
-def check_special(matrix: LaurentMatrix) -> FrameReport:
-    """Exact det = 1 test; the Bryant condition is left unexamined."""
-    residual = matrix.det() - _ONE
-    return FrameReport(is_special=residual.is_zero, is_bryant=False,
-                       det_residual=residual, null_residual=None)
 
 
 def check_bryant(matrix: LaurentMatrix) -> FrameReport:

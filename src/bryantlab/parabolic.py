@@ -15,9 +15,10 @@ twisted bundle with the constraints imposed by the period problem.  All
 inputs are integers or exact rationals and every output is exact; the
 formulas are linear, so there is nothing to tune.  Degrees enter in two
 distinct roles and the code keeps them apart: the number of marked
-points appears in the integer bounds, while the weight sum (which equals
-the point count only when every weight is 1/2 ... 1) enters the
-half-integer thresholds.
+points appears in the integer bounds, while the weight sum enters the
+half-integer thresholds.  Weights lie in (0, 1), so the weight sum is
+below the point count, which the thresholds use as the worst case when
+no weight sum is given.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _as_weight(w: WeightLike) -> Fraction:
 
 @dataclass(frozen=True)
 class MarkedPoint:
-    """A marked point with its weight and whether flags are recorded."""
+    """A marked point: its label and its weight in (0, 1)."""
 
     label: str
     weight: Fraction

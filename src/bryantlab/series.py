@@ -12,7 +12,9 @@ are immutable; every operation returns a fresh object.
 
 Serialization: ``to_json``/``from_json`` use rationals printed as
 decimal-free strings ("3/4", "-2"), terms sorted by exponent, so that
-parse -> serialize is byte identical on canonical input.
+parse -> serialize is byte identical on canonical input.  On input an
+exponent must be a JSON integer and a coefficient a string or a JSON
+integer; a float or a bool is rejected, since neither is exact input.
 """
 
 from __future__ import annotations
@@ -335,8 +337,11 @@ class LaurentPoly:
     def from_json(cls, data: Mapping) -> "LaurentPoly":
         coeffs: dict[int, GaussianRational] = {}
         for term in data["terms"]:
-            e = int(term["exp"])
-            g = GaussianRational(Fraction(term["re"]), Fraction(term["im"]))
+            e, re, im = term["exp"], term["re"], term["im"]
+            if type(e) is not int or not {type(re), type(im)} <= {str, int}:
+                raise ValueError("an exponent must be an integer and a coefficient "
+                                 f"a string or an integer, got {term!r}")
+            g = GaussianRational(Fraction(re), Fraction(im))
             if e in coeffs:
                 raise ValueError(f"duplicate exponent {e} in serialized polynomial")
             if not g.is_zero:

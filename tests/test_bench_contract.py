@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from bryantlab.connection import HiggsField, model_end_field
+
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 DECLARED = [w["name"] for w in
@@ -58,6 +60,19 @@ def test_tracer_wraps_every_traced_name(bench, tmp_path):
     # which counts HiggsField.value spans) read 0
     assert calls["connection.HiggsField.value"] == 0
     assert calls["series.LaurentMatrix.evaluate"] == 0
+
+
+def test_holonomy_field_files_load_to_the_built_fields(bench, tmp_path):
+    _, _, workloads = bench
+    workloads.build("holonomy", 0, str(tmp_path))
+
+    def load(name):
+        return HiggsField.from_json(json.loads((tmp_path / name).read_text()))
+
+    assert load("two_pole.json") == workloads.two_pole_field()
+    for alpha in workloads.MODEL_WEIGHTS:
+        name = f"model_{alpha.numerator}_{alpha.denominator}.json"
+        assert load(name) == model_end_field(alpha)
 
 
 @pytest.mark.parametrize("name", DECLARED)

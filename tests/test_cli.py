@@ -67,6 +67,12 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(bad))
         assert code == 2 and "input error" in err
 
+    def test_fractional_exponent_is_input_error(self, capsys, write_json):
+        data = {"matrix": LaurentMatrix(ONE, Z, LaurentPoly.zero(), ONE).to_json()}
+        data["matrix"][0][1]["terms"][0]["exp"] = 1.5
+        code, out, err = run(capsys, "verify", write_json("half.json", data))
+        assert code == 2 and out == "" and "an exponent must be an integer" in err
+
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "verify", "no-such-frame")
         assert code == 2 and "no-such-frame" in err

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bryantlab.connection import (ArcSegment, HiggsField, LineSegment, Path,
@@ -25,7 +25,7 @@ from bryantlab.errors import (NotNull, NotSpecial, PoleTooClose,
                               ToleranceNotMet)
 from bryantlab.frames import catalog
 from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
-from conftest import trace_free_matrices
+from conftest import gaussian_rationals, laurent_polys, trace_free_matrices
 
 ONE = LaurentPoly.one()
 Z = LaurentPoly.z()
@@ -91,6 +91,41 @@ class TestHiggsField:
                                    LaurentPoly.constant(Fraction(1, 4)))
         zero = LaurentMatrix.diagonal(ZERO, ZERO)
         assert simple_pole_field([(0, g), (1, zero)]).poles == (0j,)
+
+    def test_zero_numerator_over_z_has_no_pole(self):
+        theta = HiggsField(LaurentMatrix.diagonal(ZERO, ZERO), Z)
+        assert theta.poles == () and theta.den == ONE
+        y = parallel_transport(theta, PathLoop.circle(0j, 1e-4))
+        assert np.array_equal(y, np.eye(2))
+
+    def test_model_end_is_stored_over_z(self):
+        a = Fraction(2, 7)
+        g = LaurentMatrix.diagonal(LaurentPoly.constant(-a), LaurentPoly.constant(a))
+        assert model_end_field(a) == HiggsField(g, Z)
+
+    @given(trace_free_matrices(max_terms=3), laurent_polys(max_terms=3),
+           gaussian_rationals, st.integers(min_value=-3, max_value=3))
+    @settings(max_examples=80, deadline=None)
+    def test_normal_form(self, num, den, r, k):
+        assume(not den.is_zero)
+        c = LaurentPoly({1: 1, 0: -r}).shift(k)
+        theta = HiggsField(num.map(lambda p: p * c), den * c)
+        assert theta == HiggsField(num, den)
+        assert all(p.is_zero or p.valuation() >= 0
+                   for p in theta.num.entries + (theta.den,))
+        assert (theta.den.coeff(0).is_zero) == (0j in theta.poles)
+
+    def test_laurent_file_loads_to_the_same_field(self):
+        # the model end α = 1/3 as older files wrote it: z^-1 entries over 1
+        def poly(exp, re):
+            return {"terms": [{"exp": exp, "re": re, "im": "0"}]}
+        data = {"numerator": [[poly(-1, "-1/3"), {"terms": []}],
+                              [{"terms": []}, poly(-1, "1/3")]],
+                "denominator": poly(0, "1")}
+        theta, model = HiggsField.from_json(data), model_end_field(Fraction(1, 3))
+        assert theta == model and theta.den == Z
+        assert np.array_equal(parallel_transport(theta, unit_circle()),
+                              parallel_transport(model, unit_circle()))
 
     def test_json_round_trip(self):
         at_i = GaussianRational(Fraction(0), Fraction(1))
@@ -464,6 +499,10 @@ class TestHolonomy:
         assert rep.passes
         for m in rep.matrices:
             assert np.allclose(m, np.eye(2), atol=1e-10)
+
+    def test_empty_loop_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one loop"):
+            holonomy(ZERO_FIELD, [])
 
     def test_third_weight_unitary(self):
         rep = holonomy(model_end_field(Fraction(1, 3)), [unit_circle()])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from bryantlab.errors import (NotSpecial, RegionContainsPole, UnknownName)
 from bryantlab.frames import (Annulus, BryantFrame, CATALOG_NAMES,
                               branch_points, catalog, check_bryant,
-                              check_special, omega_quadratic)
+                              omega_quadratic)
 from bryantlab.series import LaurentMatrix, LaurentPoly
 from conftest import special_frames
 
@@ -24,16 +24,16 @@ SHEARED = LaurentMatrix(ONE, Z, Z, ONE + LaurentPoly.monomial(2))
 
 class TestCheckSpecial:
     def test_unipotent(self):
-        assert check_special(LaurentMatrix(ONE, Z, ZERO, ONE)).is_special
+        assert check_bryant(LaurentMatrix(ONE, Z, ZERO, ONE)).is_special
 
     def test_scaled_diagonal_fails(self):
-        r = check_special(LaurentMatrix.diagonal(Z, Z))
+        r = check_bryant(LaurentMatrix.diagonal(Z, Z))
         assert not r.is_special
         assert r.det_residual == LaurentPoly.monomial(2) - ONE
 
     def test_affine_null_expansion(self):
         # (1+z)(1-z) + z^2 = 1 exactly
-        r = check_special(LaurentMatrix(ONE + Z, Z, -Z, ONE - Z))
+        r = check_bryant(LaurentMatrix(ONE + Z, Z, -Z, ONE - Z))
         assert r.is_special and r.det_residual.is_zero
 
 

@@ -262,6 +262,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             LaurentPoly.from_json(data)
 
+    @pytest.mark.parametrize("key, value", [
+        ("exp", 1.5), ("exp", True), ("re", 0.1), ("re", float("inf")),
+        ("im", True), ("im", 1.5),
+    ])
+    def test_inexact_numbers_rejected(self, key, value):
+        term = {"exp": 1, "re": "1", "im": "0"}
+        term[key] = value
+        with pytest.raises(ValueError):
+            LaurentPoly.from_json({"terms": [term]})
+
+    def test_json_integers_accepted(self):
+        p = LaurentPoly.from_json({"terms": [{"exp": -2, "re": 3, "im": "1/2"}]})
+        assert p == mono(-2, GaussianRational(Fraction(3), Fraction(1, 2)))
+
     def test_matrix_round_trip(self):
         m = LaurentMatrix(ONE + Z, Z, -Z, ONE - Z)
         assert LaurentMatrix.from_json(m.to_json()) == m
