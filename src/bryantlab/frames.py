@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotSpecial, RegionContainsPole, UnknownName
-from .series import LaurentMatrix, LaurentPoly
+from .series import LaurentMatrix, LaurentPoly, json_float
 
 _ONE = LaurentPoly.one()
 
@@ -61,8 +61,8 @@ class Annulus:
 
     @classmethod
     def from_json(cls, data) -> "Annulus":
-        return cls(float(data["r_min"]),
-                   None if data["r_max"] is None else float(data["r_max"]))
+        return cls(json_float(data["r_min"]),
+                   None if data["r_max"] is None else json_float(data["r_max"]))
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def laurent_roots(p: LaurentPoly) -> list[complex]:
         roots.append(0j)
     # z^{-lo} p(z) is an ordinary polynomial with nonzero constant term,
     # so numpy sees no spurious roots at the origin.
-    coeffs = [p.coeff(e).to_complex() for e in range(hi, lo - 1, -1)]
+    coeffs = p.float_coeffs(lo, hi)[::-1]
     if len(coeffs) > 1:
         roots.extend(np.roots(coeffs).tolist())
     return roots

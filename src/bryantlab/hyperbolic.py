@@ -161,18 +161,16 @@ def _horner_table(frame: BryantFrame, k: int):
     is the lcm of all coefficient denominators.  det A = 1 forces
     lo <= 0 <= hi; the min and max with 0 keep z^-lo·A a polynomial anyway.
     """
-    terms = [list(p.terms()) for p in frame.matrix.entries]
-    exps = [e for t in terms for e, _ in t]
+    forms = [p.integer_form() for p in frame.matrix.entries]
+    exps = [e for _, n in forms for e in n]
     lo, hi = min([0, *exps]), max([0, *exps])
-    den = math.lcm(*(x.denominator for t in terms for _, c in t
-                     for x in (c.re, c.im)))
+    den = math.lcm(*(d for d, _ in forms))
     table = []
-    for t in terms:
+    for d, n in forms:
         row = [(0, 0)] * (hi - lo + 1)
-        for e, c in t:
+        for e, (re, im) in n.items():
             shift = k * (hi - e)
-            row[hi - e] = (c.re.numerator * (den // c.re.denominator) << shift,
-                           c.im.numerator * (den // c.im.denominator) << shift)
+            row[hi - e] = (re * (den // d) << shift, im * (den // d) << shift)
         table.append(row)
     return lo, hi, den, table
 

@@ -6,15 +6,24 @@ coefficients c_k in Q(i).  Keeping coefficients exact is what lets the
 geometric predicates downstream (unit determinant, vanishing discriminant,
 pole-order bounds) be decided with == instead of thresholds.
 
-Representation: a polynomial is a map {exponent: coefficient} holding no
-zero coefficients; the empty map is the zero polynomial.  All values here
-are immutable; every operation returns a fresh object.
+Representation: a polynomial is a map {exponent: (re, im)} of nonzero
+Gaussian-integer numerators over one positive int denominator, in lowest
+terms: no integer > 1 divides the denominator and every numerator part,
+so the denominator is the lcm of the coefficients' denominators, and the
+zero polynomial is {} over 1.  The form is canonical, so == and hash
+compare values.  Ring operations are integer multiply-accumulate with one
+gcd reduction per result; a coefficient becomes a GaussianRational only
+when coeff or terms asks for it, and a double (float_coeffs, __call__)
+by one correctly rounded int/int division per part.  All values here are
+immutable; every operation returns a fresh object.
 
 Serialization: ``to_json``/``from_json`` use rationals printed as
 decimal-free strings ("3/4", "-2"), terms sorted by exponent, so that
 parse -> serialize is byte identical on canonical input.  On input an
 exponent must be a JSON integer and a coefficient a string or a JSON
 integer; a float or a bool is rejected, since neither is exact input.
+Float fields of the numeric layer (radii, points) take only JSON numbers
+(json_float, json_point): a bool or a numeric string is rejected too.
 """
 
 from __future__ import annotations
@@ -22,6 +31,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterator, Mapping, Union
 
 from .errors import NotRepresentable, PoleAtZero
@@ -126,25 +137,35 @@ GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(Fraction(1))
 
 
-class LaurentPoly:
-    """Finite Laurent polynomial over Q(i), keyed by exponent."""
+def _split(g: GaussianRational) -> tuple[int, int, int]:
+    """(re, im, d) with g = (re + im·i)/d, d the lcm of the parts' denominators."""
+    d = lcm(g.re.denominator, g.im.denominator)
+    return (g.re.numerator * (d // g.re.denominator),
+            g.im.numerator * (d // g.im.denominator), d)
 
-    __slots__ = ("_c",)
+
+class LaurentPoly:
+    """Finite Laurent polynomial over Q(i): Gaussian-integer numerators over one
+    positive denominator, in lowest terms."""
+
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs: Mapping[int, CoeffLike] | None = None):
-        c: dict[int, GaussianRational] = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                g = GaussianRational.coerce(v)
-                if not g.is_zero:
-                    c[int(e)] = g
-        self._c = c
+        parts = {int(e): _split(GaussianRational.coerce(v)) for e, v in (coeffs or {}).items()}
+        # over the lcm of the reduced denominators the numerators are coprime to it
+        d = lcm(*(q for _, _, q in parts.values()))
+        self._n = {e: (re * (d // q), im * (d // q))
+                   for e, (re, im, q) in parts.items() if re or im}
+        self._d = d
 
     @classmethod
-    def _of(cls, c: dict[int, GaussianRational]) -> "LaurentPoly":
-        """Wrap a map that already holds no zero coefficients."""
+    def _of(cls, n: dict[int, tuple[int, int]], d: int = 1) -> "LaurentPoly":
+        """Numerators {exp: (re, im)}, none zero, over d > 0, put in lowest terms."""
+        g = gcd(d, *chain.from_iterable(n.values()))
+        if g > 1:   # g = d if n is empty, so zero is {} over 1
+            n, d = {e: (re // g, im // g) for e, (re, im) in n.items()}, d // g
         out = cls.__new__(cls)
-        out._c = c
+        out._n, out._d = n, d
         return out
 
     # -- constructors -------------------------------------------------------
@@ -173,23 +194,47 @@ class LaurentPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     def coeff(self, exp: int) -> GaussianRational:
-        return self._c.get(exp, GR_ZERO)
+        v = self._n.get(exp)
+        if v is None:
+            return GR_ZERO
+        return GaussianRational(Fraction(v[0], self._d), Fraction(v[1], self._d))
 
     def terms(self) -> Iterator[tuple[int, GaussianRational]]:
         """Terms in ascending exponent order."""
-        for e in sorted(self._c):
-            yield e, self._c[e]
+        for e in sorted(self._n):
+            yield e, self.coeff(e)
+
+    def integer_form(self) -> tuple[int, dict[int, tuple[int, int]]]:
+        """(d, {exp: (re, im)}): the coefficient of z^exp is (re + im·i)/d.
+
+        d > 0 is the lcm of the coefficients' denominators, so no integer
+        > 1 divides d and every re and im; the zero polynomial is (1, {}).
+        """
+        return self._d, dict(self._n)
+
+    def float_coeffs(self, lo: int, hi: int) -> list[complex]:
+        """Coefficients of z^lo .. z^hi, each the correctly rounded double.
+
+        NotRepresentable if one exceeds the double range.
+        """
+        d, n = self._d, self._n
+        try:
+            return [complex(re / d, im / d)
+                    for re, im in (n.get(e, (0, 0)) for e in range(lo, hi + 1))]
+        except OverflowError:
+            for e in range(lo, hi + 1):
+                self.coeff(e).to_complex()   # raises NotRepresentable, naming it
 
     def degree(self) -> int | None:
         """Largest exponent, or None for the zero polynomial."""
-        return max(self._c) if self._c else None
+        return max(self._n) if self._n else None
 
     def valuation(self) -> int | None:
         """Smallest exponent, or None for the zero polynomial."""
-        return min(self._c) if self._c else None
+        return min(self._n) if self._n else None
 
     def pole_order(self) -> int:
         """Order of the pole at z = 0 (0 if holomorphic there or zero)."""
@@ -198,43 +243,51 @@ class LaurentPoly:
 
     # -- ring operations -------------------------------------------------------
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self._c)
-        for e, v in other._c.items():
-            s = c.get(e, GR_ZERO) + v
-            if s.is_zero:
-                c.pop(e, None)
+    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign·other over the lcm of the two denominators."""
+        d1, d2 = self._d, other._d
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, sign * (d1 // g)
+        n = {e: (re * s1, im * s1) for e, (re, im) in self._n.items()}
+        for e, (re, im) in other._n.items():
+            r0, i0 = n.get(e, (0, 0))
+            r, i = r0 + re * s2, i0 + im * s2
+            if r or i:
+                n[e] = (r, i)
             else:
-                c[e] = s
-        return LaurentPoly._of(c)
+                del n[e]
+        return LaurentPoly._of(n, d1 * s1)
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._combine(other, 1)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._of({e: -v for e, v in self._c.items()})
+        return LaurentPoly._of({e: (-re, -im) for e, (re, im) in self._n.items()}, self._d)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c: dict[int, GaussianRational] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                s = c.get(e, GR_ZERO) + v1 * v2
-                if s.is_zero:
-                    c.pop(e, None)
-                else:
-                    c[e] = s
-        return LaurentPoly._of(c)
+        n: dict[int, tuple[int, int]] = {}
+        for e1, (a, b) in self._n.items():
+            for e2, (c, d) in other._n.items():
+                r, i = n.get(e1 + e2, (0, 0))
+                n[e1 + e2] = (r + a * c - b * d, i + a * d + b * c)
+        return LaurentPoly._of({e: v for e, v in n.items() if v[0] or v[1]},
+                               self._d * other._d)
 
     def scale(self, k: CoeffLike) -> "LaurentPoly":
         g = GaussianRational.coerce(k)
         if g.is_zero:
             return LaurentPoly.zero()
-        return LaurentPoly._of({e: v * g for e, v in self._c.items()})
+        c, d, q = _split(g)
+        return LaurentPoly._of(
+            {e: (a * c - b * d, a * d + b * c) for e, (a, b) in self._n.items()},
+            self._d * q)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z^k."""
-        return LaurentPoly._of({e + k: v for e, v in self._c.items()})
+        return LaurentPoly._of({e + k: v for e, v in self._n.items()}, self._d)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -249,28 +302,32 @@ class LaurentPoly:
         return result
 
     def derivative(self) -> "LaurentPoly":
-        return LaurentPoly._of({e - 1: v * e for e, v in self._c.items() if e != 0})
+        return LaurentPoly._of(
+            {e - 1: (re * e, im * e) for e, (re, im) in self._n.items() if e != 0},
+            self._d)
 
     # -- evaluation --------------------------------------------------------------
 
     def __call__(self, z: complex) -> complex:
         """Numeric value at z; Horner on the regular and principal parts."""
-        if not self._c:
+        if not self._n:
             return 0j
-        lo, hi = min(self._c), max(self._c)
+        lo, hi = min(self._n), max(self._n)
         z = complex(z)
         if z == 0:
             if lo < 0:
                 raise PoleAtZero("evaluation at 0 with negative exponents")
-            return self.coeff(0).to_complex()
+            return self.float_coeffs(0, 0)[0]
+        base = min(lo, 0)
+        c = self.float_coeffs(base, max(hi, 0))
         acc = 0j
         for e in range(hi, -1, -1):
-            acc = acc * z + self.coeff(e).to_complex()
+            acc = acc * z + c[e - base]
         if lo < 0:
             w = 1.0 / z
             neg = 0j
             for e in range(lo, 0):
-                neg = (neg + self.coeff(e).to_complex()) * w
+                neg = (neg + c[e - base]) * w
             acc += neg
         return acc
 
@@ -280,9 +337,9 @@ class LaurentPoly:
             if self.pole_order() > 0:
                 raise PoleAtZero("evaluation at 0 with negative exponents")
             return self.coeff(0)
-        if not self._c:
+        if not self._n:
             return GR_ZERO
-        c = self._c
+        c = dict(self.terms())
         lo, hi = min(c), max(c)
         acc = GR_ZERO
         if hi >= 0:
@@ -305,13 +362,13 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == other._c
+        return self._d == other._d and self._n == other._n
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._c.items())))
+        return hash((self._d, frozenset(self._n.items())))
 
     def __repr__(self) -> str:
-        if not self._c:
+        if not self._n:
             return "0"
         parts = []
         for e, v in self.terms():
@@ -435,6 +492,24 @@ class LaurentMatrix:
             LaurentPoly.from_json(c),
             LaurentPoly.from_json(d),
         )
+
+
+def json_float(x) -> float:
+    """A JSON number (int or float) as a float.  A bool or a numeric string
+    is a ValueError, as is an integer beyond the double range."""
+    if type(x) not in (int, float):
+        raise ValueError(f"expected a JSON number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("an integer exceeds the double range") from None
+
+
+def json_point(v) -> complex:
+    """A JSON pair [re, im] of numbers as a complex."""
+    if type(v) not in (list, tuple) or len(v) != 2:
+        raise ValueError(f"a point must be a pair [re, im], got {v!r}")
+    return complex(*map(json_float, v))
 
 
 def canonical_dumps(data) -> str:

@@ -170,6 +170,17 @@ class TestSurface:
         assert [f["error"] for f in data["flagged"]] == ["NotRepresentable"] * 4
         assert data["vertices"] == kept
 
+    @pytest.mark.parametrize("domain", [
+        {"r_min": True, "r_max": "2"}, {"r_min": "0.5", "r_max": None},
+        {"r_min": 0, "r_max": 10 ** 400},
+    ])
+    def test_non_number_domain_is_input_error(self, capsys, frame_file, domain):
+        path = frame_file("domain.json", LaurentMatrix.identity(), domain=domain)
+        code, out, err = run(capsys, "surface", path, "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: ")
+
     def test_non_finite_domain_is_input_error(self, capsys, frame_file):
         path = frame_file("nan_domain.json", LaurentMatrix.identity(),
                           domain={"r_min": math.nan, "r_max": math.nan})
@@ -259,6 +270,22 @@ class TestHolonomy:
         # json writes these as the NaN and Infinity literals
         field = write_json("quarter.json", model_end_field(Fraction(1, 4)).to_json())
         loops = write_json("loop.json", {"base": [1.0, 0.0], "segments": segments})
+        code, out, err = run(capsys, "holonomy", field, loops)
+        assert code == 2
+        assert out == ""
+        assert "loop file" in err
+
+    @pytest.mark.parametrize("changes", [
+        {"radius": True}, {"center": ["0"]}, {"base": [True, False]},
+        {"radius": "1", "base": ["1", "0"]},
+    ], ids=["bool-radius", "string-center", "bool-base", "string-radius"])
+    def test_non_number_in_loop_is_input_error(self, capsys, write_json, changes):
+        field = write_json("quarter.json", model_end_field(Fraction(1, 4)).to_json())
+        arc = {"kind": "arc", "center": [0.0, 0.0], "radius": 1.0,
+               "angle0": 0.0, "angle1": 2 * math.pi}
+        data = {"base": changes.pop("base", [1.0, 0.0]),
+                "segments": [{**arc, **changes}]}
+        loops = write_json("loop.json", data)
         code, out, err = run(capsys, "holonomy", field, loops)
         assert code == 2
         assert out == ""

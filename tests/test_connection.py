@@ -311,6 +311,31 @@ class TestPaths:
         with pytest.raises(ValueError):
             PathLoop.from_json(data)
 
+    @pytest.mark.parametrize("path, value", [
+        (("segments", 0, "radius"), True), (("segments", 0, "radius"), "1"),
+        (("segments", 0, "radius"), 10 ** 400),
+        (("segments", 0, "angle0"), False), (("segments", 0, "center"), ["0"]),
+        (("segments", 0, "center"), [0.0]), (("segments", 0, "center"), []),
+        (("base",), [True, False]), (("base",), ["1", "0"]), (("base",), "1"),
+    ])
+    def test_loop_json_takes_only_numbers(self, path, value):
+        # each of these used to load, as the unit circle based at 1, or to
+        # raise OverflowError (the integer radius beyond the double range)
+        data = unit_circle().to_json()
+        *where, key = path
+        target = data
+        for k in where:
+            target = target[k]
+        target[key] = value
+        with pytest.raises(ValueError):
+            PathLoop.from_json(data)
+
+    def test_loop_json_integers_accepted(self):
+        data = {"base": [1, 0], "segments": [{"kind": "arc", "center": [0, 0],
+                                              "radius": 1, "angle0": 0,
+                                              "angle1": 2 * math.pi}]}
+        assert PathLoop.from_json(data).base == 1
+
     def test_loop_json_base_mismatch(self):
         data = unit_circle().to_json()
         data["base"] = [5.0, 0.0]

@@ -162,6 +162,17 @@ class TestFrameTypes:
         assert data["r_max"] is None
         assert Annulus.from_json(data) == ring
 
+    @pytest.mark.parametrize("domain", [
+        {"r_min": True, "r_max": "2"}, {"r_min": "0", "r_max": None},
+        {"r_min": 0, "r_max": False}, {"r_min": 10 ** 400, "r_max": None},
+    ])
+    def test_annulus_json_takes_only_numbers(self, domain):
+        with pytest.raises(ValueError):
+            Annulus.from_json(domain)
+
+    def test_annulus_json_integers_accepted(self):
+        assert Annulus.from_json({"r_min": 0, "r_max": 2}) == Annulus(0.0, 2.0)
+
     def test_frame_json_round_trip(self):
         f = catalog("affine-null")
         assert BryantFrame.from_json(f.to_json()) == f

@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 
 from bryantlab.errors import DegenerateMetric, NotRepresentable, PoleAtZero
 from bryantlab.frames import CATALOG_NAMES, Annulus, BryantFrame, catalog
-from bryantlab.hyperbolic import (GridSpec, MinkowskiPoint, _mink,
+from bryantlab.hyperbolic import (GridSpec, MinkowskiPoint, _horner_table, _mink,
                                   _normal_direction, hyperbolic_distance,
                                   immerse, mean_curvature, sample_mesh)
 from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
-from conftest import seeded_coeff
+from conftest import seeded_coeff, special_frames
 
 ONE = LaurentPoly.one()
 Z = LaurentPoly.z()
@@ -147,6 +147,36 @@ def _large_shear(exponent):
     """[[1, 10^exponent·z], [0, 1]]: a Bryant frame with a huge (or tiny) metric."""
     return BryantFrame(LaurentMatrix(ONE, LaurentPoly({1: Fraction(10) ** exponent}),
                                      LaurentPoly.zero(), ONE))
+
+
+def _fraction_horner_table(frame, k):
+    """The Horner table unpacked from each coefficient's Fractions."""
+    terms = [list(p.terms()) for p in frame.matrix.entries]
+    exps = [e for t in terms for e, _ in t]
+    lo, hi = min([0, *exps]), max([0, *exps])
+    den = math.lcm(*(x.denominator for t in terms for _, c in t
+                     for x in (c.re, c.im)))
+    table = []
+    for t in terms:
+        row = [(0, 0)] * (hi - lo + 1)
+        for e, c in t:
+            shift = k * (hi - e)
+            row[hi - e] = (c.re.numerator * (den // c.re.denominator) << shift,
+                           c.im.numerator * (den // c.im.denominator) << shift)
+        table.append(row)
+    return lo, hi, den, table
+
+
+class TestHornerTable:
+    @given(special_frames(), st.integers(min_value=0, max_value=60))
+    @settings(max_examples=150)
+    def test_matches_fraction_unpacking(self, m, k):
+        frame = BryantFrame(m)
+        assert _horner_table(frame, k) == _fraction_horner_table(frame, k)
+
+    def test_catalog_and_seeded_frames(self):
+        for label, frame, _, _ in _curvature_corpus():
+            assert _horner_table(frame, 7) == _fraction_horner_table(frame, 7), label
 
 
 class TestImmerse:

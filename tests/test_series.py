@@ -1,4 +1,8 @@
-"""Exact Laurent arithmetic: hand-expansion oracles, then ring properties."""
+"""Exact Laurent arithmetic: hand-expansion oracles, then ring properties.
+
+TestAgainstFractions checks the integer representation (numerators over
+one denominator) against a per-coefficient Fraction reference kept here.
+"""
 
 import json
 from fractions import Fraction
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bryantlab.connection import HiggsField, PathLoop, parallel_transport
 from bryantlab.errors import NotRepresentable, PoleAtZero
 from bryantlab.series import (GaussianRational, LaurentMatrix, LaurentPoly,
                               canonical_dumps)
@@ -205,6 +210,135 @@ class TestFloatTable:
         q = LaurentPoly.from_json(p.to_json())
         p(0.5 + 0.25j)
         assert p == q and hash(p) == hash(q) and p.to_json() == q.to_json()
+
+
+class TestFloatBoundary:
+    # 10 + z/10^399 is stored as 10^400 and 1 over 10^399: a float of the
+    # numerator alone overflows, its ratio to the denominator does not
+    WIDE = mono(0, 10) + mono(1, Fraction(1, 10 ** 399))
+    HUGE = mono(0, Fraction(10 ** 400, 3))
+
+    def test_wide_denominator_reads_exactly(self):
+        assert self.WIDE.integer_form() == (10 ** 399, {0: (10 ** 400, 0), 1: (1, 0)})
+        assert self.WIDE.float_coeffs(-1, 2) == [0j, 10 + 0j, 0j, 0j]
+        for z in (0j, 0.5, 1 + 1j, -3.0):
+            assert self.WIDE(z) == 10.0
+            assert _outcome(self.WIDE, z) == _outcome(_reference_call, self.WIDE, z)
+
+    def test_wide_denominator_in_transport(self):
+        # Θ = diag(p, -p) dz with p holomorphic: the unit circle's holonomy is I
+        field = HiggsField(LaurentMatrix(self.WIDE, LaurentPoly.zero(),
+                                         LaurentPoly.zero(), -self.WIDE))
+        y = parallel_transport(field, PathLoop.circle(0j, 1.0))
+        assert abs(y - [[1, 0], [0, 1]]).max() < 1e-9
+
+    def test_beyond_double_still_raises(self):
+        with pytest.raises(NotRepresentable, match="10000"):
+            self.HUGE(0.5)
+        with pytest.raises(NotRepresentable, match="10000"):
+            self.HUGE.float_coeffs(0, 0)
+        field = HiggsField(LaurentMatrix(self.HUGE, LaurentPoly.zero(),
+                                         LaurentPoly.zero(), -self.HUGE))
+        with pytest.raises(NotRepresentable):
+            parallel_transport(field, PathLoop.circle(0j, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# per-coefficient Fraction reference: {exp: GaussianRational}, no zeros
+
+R_ZERO = GaussianRational()
+
+
+def _r_add(a, b, sign=1):
+    c = dict(a)
+    for e, v in b.items():
+        s = c.get(e, R_ZERO) + v * sign
+        if s.is_zero:
+            c.pop(e, None)
+        else:
+            c[e] = s
+    return c
+
+
+def _r_mul(a, b):
+    c = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            c = _r_add(c, {e1 + e2: v1 * v2})
+    return c
+
+
+def _r_pow(a, n):
+    c = {0: GaussianRational(1)}
+    for _ in range(n):
+        c = _r_mul(c, a)
+    return c
+
+
+def _r_json(a):
+    return {"terms": [{"exp": e, "re": str(a[e].re), "im": str(a[e].im)}
+                      for e in sorted(a)]}
+
+
+# distinct primes, and powers of 2 next to powers of 3
+mixed_fractions = st.builds(Fraction, st.integers(min_value=-30, max_value=30),
+                            st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 11, 16, 27, 64, 81]))
+mixed_coeffs = st.builds(GaussianRational, mixed_fractions,
+                         st.one_of(st.just(Fraction(0)), mixed_fractions))
+ref_maps = st.dictionaries(st.integers(min_value=-4, max_value=4), mixed_coeffs,
+                           max_size=5).map(lambda m: {e: v for e, v in m.items() if v})
+
+
+class TestAgainstFractions:
+    @staticmethod
+    def agree(p, ref):
+        assert dict(p.terms()) == ref
+        assert [e for e, _ in p.terms()] == sorted(ref)
+        for e in range(-12, 13):
+            assert p.coeff(e) == ref.get(e, R_ZERO)
+        assert canonical_dumps(p.to_json()) == canonical_dumps(_r_json(ref))
+        q = LaurentPoly(ref)   # the same value, built term by term
+        assert p == q and hash(p) == hash(q)
+        assert p.is_zero == (not ref)
+
+    @given(ref_maps, ref_maps, mixed_coeffs, st.integers(min_value=-3, max_value=3))
+    @settings(max_examples=200)
+    def test_ring_operations(self, a, b, k, shift):
+        p, q = LaurentPoly(a), LaurentPoly(b)
+        self.agree(p, a)
+        self.agree(p + q, _r_add(a, b))
+        self.agree(p - q, _r_add(a, b, -1))
+        self.agree(-p, _r_add({}, a, -1))
+        self.agree(p * q, _r_mul(a, b))
+        self.agree(p.shift(shift), {e + shift: v for e, v in a.items()})
+        self.agree(p.derivative(), {e - 1: v * e for e, v in a.items() if e})
+        self.agree(p.scale(k), {e: v * k for e, v in a.items() if v * k})
+
+    @given(ref_maps.filter(lambda m: len(m) <= 3), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=60)
+    def test_powers(self, a, n):
+        self.agree(LaurentPoly(a) ** n, _r_pow(a, n))
+
+    @given(ref_maps)
+    def test_cancellation_is_canonical_zero(self, a):
+        p = LaurentPoly(a)
+        for zero in (p - p, p + (-p), p.scale(0), p * LaurentPoly.zero()):
+            assert zero == LaurentPoly.zero() and hash(zero) == hash(LaurentPoly.zero())
+            assert zero.integer_form() == (1, {})
+
+    def test_products_reduce(self):
+        half = LaurentPoly.constant(Fraction(1, 2))
+        assert half * LaurentPoly.constant(2) == ONE
+        assert hash(half.scale(2)) == hash(ONE)
+        assert ONE.integer_form() == (1, {0: (1, 0)})
+        # (1/6 + z/4)·12 has denominator 1; (z/2)' = 1/2 keeps its 2
+        p = mono(0, Fraction(1, 6)) + mono(1, Fraction(1, 4))
+        assert p.integer_form() == (12, {0: (2, 0), 1: (3, 0)})
+        assert p.scale(12).integer_form() == (1, {0: (2, 0), 1: (3, 0)})
+        assert mono(2, Fraction(1, 4)).derivative().integer_form() == (2, {1: (1, 0)})
+        # 2/3 - 1/6 = 1/2 over the lcm 6, reduced
+        assert (LaurentPoly.constant(Fraction(2, 3))
+                - LaurentPoly.constant(Fraction(1, 6))).integer_form() == (2, {0: (1, 0)})
 
 
 class TestPoleOrder:
