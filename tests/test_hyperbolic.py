@@ -9,6 +9,7 @@ plain Fraction embedding and stencil kept here are the reference the
 integer kernel must match bit for bit.
 """
 
+import cmath
 import itertools
 import math
 import random
@@ -118,10 +119,21 @@ def _seeded_bryant(rng, lo, hi):
                        @ _unipotent(c[2], False) @ _unipotent(c[3], True))
 
 
+# points on both sides of the unit circle: four with full-length
+# mantissas (dyadic exponents 52..55) and one with exponent 2
+_ANNULUS_POINTS = (cmath.rect(0.45, 0.3), cmath.rect(0.9, 2.2),
+                   cmath.rect(1.1, 4.0), cmath.rect(2.5, 5.5), -0.75 + 0.25j)
+
+# dyadic exponents 60 and 71, above every point's, and 9, below those of
+# the four long points
+_LAURENT_STEPS = (1e-3, 3.3e-6, 2.0 ** -9)
+
+
 def _curvature_corpus():
     """(label, frame, z, step): catalog and seeded frames of degree 3..9 at
     radii 1 and 50, a Laurent frame with exponents -3..3, a stencil that
-    reaches that frame's pole, and the cusp's branch point."""
+    reaches that frame's pole, the cusp's branch point, and seeded frames
+    with a pole of order 1, 2, 3 or 5 at 0 around the annulus."""
     rng = random.Random(2024)
     frames = [(name, catalog(name)) for name in CATALOG_NAMES]
     frames += [(f"degree {d}", _seeded_bryant(rng, 0, d)) for d in range(3, 10)]
@@ -133,6 +145,12 @@ def _curvature_corpus():
         yield "laurent", laurent, 1.5 + 0.2j, step
         yield "laurent at the pole", laurent, complex(step, 0.0), step
     yield "cusp branch point", catalog("cusp-degree2"), 0j, 1e-3
+    rng = random.Random(1606)
+    for lo in (-1, -2, -3, -5):
+        frame = _seeded_bryant(rng, lo, 2)
+        for z in _ANNULUS_POINTS:
+            for step in _LAURENT_STEPS:
+                yield f"laurent from z^{lo}", frame, z, step
 
 
 def _point(*coords):
