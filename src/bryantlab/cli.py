@@ -54,7 +54,7 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -276,6 +276,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # exact integers of any length are read and printed: lift Python's
+    # int/str digit limit for the command, and restore the caller's
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except InputError as exc:
@@ -284,6 +288,8 @@ def main(argv: list[str] | None = None) -> int:
     except BryantLabError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return EXIT_FAIL
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -18,12 +18,14 @@ and the step are n/2^k exactly and all nine stencil points are W/2^k
 with W a Gaussian integer.  Clearing the frame's coefficient denominators
 once (their lcm L) and the pole at 0 (a factor z^-lo), Horner's rule on
 W gives each embedding as an integer 4-vector over
-2·L²·2^{2k·hi}·|W|^{-2lo}; the nine are brought to one denominator, and
-the stencil differences, both fundamental forms, the Minkowski normal and
-the shape-operator trace are integers times known scale factors.  Each
-float is then one correctly rounded integer division, and one square root
-at the very end produces H; a float beyond the double range raises
-NotRepresentable.  Consequences worth knowing:
+2·L²·2^{2k·hi}·|W|^{-2lo}, so a frame with a pole at 0 puts each stencil
+point over a denominator of its own.  Each stencil difference is carried
+over the product of only the |W|^{-2lo} it touches, never over the common
+multiple of all nine, and the differences, both fundamental forms, the
+Minkowski normal and the shape-operator trace are integers times known
+scale factors.  Each float is then one correctly rounded integer
+division, and one square root at the very end produces H; a float beyond
+the double range raises NotRepresentable.  Consequences worth knowing:
 
 * there is no roundoff floor: the error in H is purely the O(step^2)
   truncation of the stencil, so halving the step reliably quarters it;
@@ -90,9 +92,10 @@ def immerse(frame: BryantFrame, z: complex) -> MinkowskiPoint:
     z = complex(z)
     if not frame.domain.contains(z):
         raise ValueError(f"{z!r} lies outside the frame domain")
-    _, _, d, (x,) = _embeddings(frame, z)
+    _, _, d0, (y,), (g,) = _embeddings(frame, z)
+    d = d0 * g
     try:
-        return MinkowskiPoint(*(c / d for c in x))
+        return MinkowskiPoint(*(c / d for c in y))
     except OverflowError:
         raise NotRepresentable(
             f"the immersion at {z!r} exceeds the double range") from None
@@ -183,7 +186,11 @@ def _horner(row, re_w: int, im_w: int) -> tuple[int, int]:
 
 
 def _embed_numerator(table, re_w: int, im_w: int) -> Vec4:
-    """Minkowski coordinates of A·A* at z = W/2^k, times 2·L²·2^{2k·hi}·|W|^{-2lo}."""
+    """Minkowski coordinates of A·A* at z = W/2^k, times D0·|W|^{-2lo}.
+
+    D0 = 2·L²·2^{2k·hi}; the factor |W|^{-2lo} is the point's own, so the
+    numerators of two points are over different denominators when lo < 0.
+    """
     (ar, ai), (br, bi), (cr, ci), (dr, di) = (_horner(row, re_w, im_w)
                                               for row in table)
     f00 = ar * ar + ai * ai + br * br + bi * bi
@@ -197,11 +204,13 @@ def _embeddings(frame: BryantFrame, z: complex, step: float = 0.0,
                 offsets=((0, 0),)):
     """Exact embeddings at the points z + step·(du + i·dv), one per offset.
 
-    Returns (k, h, d, xs): the step is h/2^k and the embedding at the j-th
-    point is xs[j]/d, with h and d ints and xs[j] an integer 4-vector.
-    The sample point and the step are dyadic, hence so are the points:
-    W/2^k with W = u + du·h + i(v + dv·h) in ints.  PoleAtZero if a point
-    is 0 and the frame has a pole there.
+    Returns (k, h, d0, ys, gs): the step is h/2^k and the embedding at the
+    j-th point is ys[j]/(d0·gs[j]), with h, d0 and gs[j] = |W_j|^{-2lo}
+    positive ints and ys[j] an integer 4-vector.  The sample point and the
+    step are dyadic, hence so are the points: W_j/2^k with W_j = u + du·h
+    + i(v + dv·h) in ints.  Each point keeps its own gs[j]; for a
+    polynomial frame (lo = 0) every gs[j] is 1.  PoleAtZero if a point is
+    0 and the frame has a pole there.
     """
     if not cmath.isfinite(z):
         raise ValueError(f"sample point must be finite, got {z!r}")
@@ -212,13 +221,9 @@ def _embeddings(frame: BryantFrame, z: complex, step: float = 0.0,
     points = [(u + du * h, v + dv * h) for du, dv in offsets]
     if lo < 0 and (0, 0) in points:
         raise PoleAtZero(f"the frame has a pole at 0, reached from {z!r}")
-    # the embedding at W_j is X_j / (D0·g_j) with D0 = 2·L²·2^{2k·hi} and
-    # g_j = |W_j|^{-2lo}; scale all to the one denominator D0·lcm(g)
-    g = [(re * re + im * im) ** -lo for re, im in points]
-    g_all = math.lcm(*g)
-    xs = [tuple(x * (g_all // gj) for x in _embed_numerator(table, *w))
-          for w, gj in zip(points, g)]
-    return k, h, (2 * den * den * g_all) << (2 * k * hi), xs
+    ys = [_embed_numerator(table, *w) for w in points]
+    gs = [(re * re + im * im) ** -lo for re, im in points]
+    return k, h, (2 * den * den) << (2 * k * hi), ys, gs
 
 
 # stencil offsets (du, dv) in units of the step, in the unpacking order below
@@ -240,16 +245,29 @@ def mean_curvature(frame: BryantFrame, z: complex,
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive and finite, got {step!r}")
     z = complex(z)
-    k, h, d, (c00, cpu, cmu, cpv, cmv, cpp, cpm, cmp_, cmm) = _embeddings(
-        frame, z, float(step), _STENCIL)
+    k, h, d0, ys, gs = _embeddings(frame, z, float(step), _STENCIL)
+    y00, ypu, ymu, ypv, ymv, ypp, ypm, ymp, ymm = ys
+    g00, gpu, gmu, gpv, gmv, gpp, gpm, gmp, gmm = gs
 
-    # with f = X/d and the step h/2^k, f_u = fu·2^k/(2hd), likewise f_v,
-    # and f_uu = fuu·2^{2k}/(4h²d), likewise f_vv and f_uv
-    fu = tuple(a - b for a, b in zip(cpu, cmu))
-    fv = tuple(a - b for a, b in zip(cpv, cmv))
-    fuu = tuple(4 * (a - 2 * b + c) for a, b, c in zip(cpu, c00, cmu))
-    fvv = tuple(4 * (a - 2 * b + c) for a, b, c in zip(cpv, c00, cmv))
-    fuv = tuple(a - b - c + e for a, b, c, e in zip(cpp, cpm, cmp_, cmm))
+    # f_j = y_j/(d0·g_j) and the step is h/2^k.  Each difference is
+    # carried over the product of only the g's it touches: with
+    # d_u = g_pu·g_mu, d_v = g_pv·g_mv and d_uv = g_pp·g_pm·g_mp·g_mm,
+    #   f_u  = fu·2^k/(2h·d0·d_u),                   likewise f_v,
+    #   f_uu = fuu·2^{2k}/(h²·d0·d_u) - 2f·2^{2k}/h²,  likewise f_vv,
+    #   f_uv = fuv·2^{2k}/(4h²·d0·d_uv).
+    # The normal is Minkowski-orthogonal to f, so II never needs the
+    # multiple of f in f_uu and f_vv.
+    d_u, d_v = gpu * gmu, gpv * gmv
+    d_uv = gpp * gpm * gmp * gmm
+    pu, mu = [a * gmu for a in ypu], [a * gpu for a in ymu]
+    pv, mv = [a * gmv for a in ypv], [a * gpv for a in ymv]
+    fu = tuple(a - b for a, b in zip(pu, mu))
+    fv = tuple(a - b for a, b in zip(pv, mv))
+    fuu = tuple(a + b for a, b in zip(pu, mu))
+    fvv = tuple(a + b for a, b in zip(pv, mv))
+    gp, gm = gpp * gpm, gmp * gmm
+    fuv = tuple((a * gpm - b * gpp) * gm - (c * gmm - e * gmp) * gp
+                for a, b, c, e in zip(ypp, ypm, ymp, ymm))
 
     # first fundamental form: minus the Minkowski restriction (tangent
     # vectors to the hyperboloid are timelike-negative in this signature)
@@ -259,7 +277,9 @@ def mean_curvature(frame: BryantFrame, z: complex,
     if det_i <= 0 or det_i * 10 ** 18 < gram:
         raise DegenerateMetric(f"first fundamental form singular at {z!r}")
 
-    m = _normal_direction(c00, fu, fv)
+    # the direction of the normal from numerators alone: the dropped
+    # denominators are positive, and the scale they carry returns below
+    m = _normal_direction(y00, fu, fv)
     q = -_mink(m, m)
     if q <= 0:
         raise DegenerateMetric(f"no spacelike normal at {z!r}")
@@ -267,21 +287,28 @@ def mean_curvature(frame: BryantFrame, z: complex,
     # II with the unnormalized normal; the sqrt(q) normalization is folded
     # into the final float so everything stays exact until then
     j00, j01, j11 = (-_mink(fuu, m), -_mink(fuv, m), -_mink(fvv, m))
-    t_num = i11 * j00 - 2 * i01 * j01 + i00 * j11
+    t_num = (4 * d_uv * (d_u * i11 * j00 + d_v * i00 * j11)
+             - 2 * d_u * d_v * i01 * j01)
 
-    # true values, with p = (2hd)²: I is i·2^{2k}/p, q is q·2^{4k}/(pd)²
-    # and II is j·2^{4k}/p²; in H = t/(2·det I·sqrt q) the scales cancel
-    # to d.  Each float is one int/int true division, which is correctly
-    # rounded or raises OverflowError.
-    p = (2 * h * d) ** 2
-    p2 = p * p
+    # true values, with s = (2h·d0)² and n = g00·d_u·d_v: I is
+    # i00·2^{2k}/(s·d_u²), i01·2^{2k}/(s·d_u·d_v) and i11·2^{2k}/(s·d_v²);
+    # the normal N(f, f_u, f_v) is m·2^{2k}/(s·d0·n), so its square is
+    # q·2^{4k}/(s·d0·n)², and II is 4·j00·2^{4k}/(s²·n·d_u),
+    # j01·2^{4k}/(s²·n·d_uv) and 4·j11·2^{4k}/(s²·n·d_v).  In
+    # H = t/(2·det I·sqrt q) the scales cancel to d0/d_uv.  Each float is
+    # one int/int true division, which is correctly rounded or raises
+    # OverflowError.
+    s = (2 * h * d0) ** 2
+    sn = s * s * g00 * d_u * d_v
     try:
-        ratio = (t_num * t_num * d * d) / (4 * det_i * det_i * q)
-        sq2 = (q << 4 * k) / (p * d) ** 2
-        first = np.array([[(i00 << 2 * k) / p, (i01 << 2 * k) / p],
-                          [(i01 << 2 * k) / p, (i11 << 2 * k) / p]])
-        second = np.array([[(j00 << 4 * k) / p2, (j01 << 4 * k) / p2],
-                           [(j01 << 4 * k) / p2, (j11 << 4 * k) / p2]])
+        ratio = (t_num * t_num * d0 * d0) / (4 * det_i * det_i * q * d_uv * d_uv)
+        sq2 = (q << 4 * k) / (sn * d0 * d0 * g00 * d_u * d_v)
+        first01 = (i01 << 2 * k) / (s * d_u * d_v)
+        first = np.array([[(i00 << 2 * k) / (s * d_u * d_u), first01],
+                          [first01, (i11 << 2 * k) / (s * d_v * d_v)]])
+        second01 = (j01 << 4 * k) / (sn * d_uv)
+        second = np.array([[(j00 << 4 * k + 2) / (sn * d_u), second01],
+                           [second01, (j11 << 4 * k + 2) / (sn * d_v)]])
     except OverflowError:
         raise NotRepresentable(
             f"the curvature at {z!r} exceeds the double range") from None

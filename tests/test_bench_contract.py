@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from bryantlab.connection import HiggsField, model_end_field
+from bryantlab.series import LaurentMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -86,3 +87,16 @@ def test_first_job_of_each_kind_passes(bench, tmp_path, name):
         seen.add(job.kind)
         _, result = worker.run_job(job)
         assert result.ok, f"{job.kind} [{job.label}]: {result.detail}"
+
+
+@pytest.mark.parametrize("seed", [0, 7, 8])
+def test_surface_laurent_frame_has_a_pole_at_zero(bench, tmp_path, seed):
+    # the surface workload keeps one job on a frame with a pole at 0, so
+    # it runs the stencil over per-point denominators |W|^{-2lo}
+    _, _, workloads = bench
+    jobs = workloads.build("surface", seed, str(tmp_path))
+    assert sum(job.kind == "surface.laurent" for job in jobs) == 1
+    data = json.loads((tmp_path / "bryant_laurent.json").read_text())
+    matrix = LaurentMatrix.from_json(data["matrix"])
+    lo = min(e for p in matrix.entries for e in p.integer_form()[1])
+    assert lo < 0

@@ -67,6 +67,37 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(bad))
         assert code == 2 and "input error" in err
 
+    def test_undecodable_file_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"matrix": "\xff\xfe"}')
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2 and out == "" and "input error" in err
+
+    def test_integer_beyond_the_digit_limit_is_read(self, tmp_path, capsys):
+        # 10^4999 as a JSON integer: 5000 digits, past Python's default
+        # int/str limit of 4300, which main lifts and then restores
+        limit = sys.get_int_max_str_digits()
+        big = tmp_path / "big.json"
+        one = '{"terms": [{"exp": 0, "re": "1", "im": "0"}]}'
+        big.write_text(
+            '{"matrix": [[{"terms": [{"exp": 0, "re": 1' + "0" * 4999
+            + ', "im": 0}]}, {"terms": []}], [{"terms": []}, ' + one + "]]}")
+        code, data, err = run_json(capsys, "verify", str(big))
+        assert code == 1 and err == ""
+        assert data["is_special"] is False
+        assert data["det_residual"] == {
+            "terms": [{"exp": 0, "re": "9" * 4999, "im": "0"}]}
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_residual_beyond_the_digit_limit_is_written(self, capsys, frame_file):
+        # 2201-digit entries, so det - 1 = 10^4400 - 1 has 4400 digits
+        big = LaurentPoly.constant(10 ** 2200)
+        path = frame_file("big.json", LaurentMatrix(big, Z, LaurentPoly.zero(), big))
+        code, data, err = run_json(capsys, "verify", path)
+        assert code == 1 and err == ""
+        assert data["det_residual"] == {
+            "terms": [{"exp": 0, "re": "9" * 4400, "im": "0"}]}
+
     def test_fractional_exponent_is_input_error(self, capsys, write_json):
         data = {"matrix": LaurentMatrix(ONE, Z, LaurentPoly.zero(), ONE).to_json()}
         data["matrix"][0][1]["terms"][0]["exp"] = 1.5

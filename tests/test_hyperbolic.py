@@ -1,12 +1,12 @@
 """Immersion, hyperboloid points, curvature, meshes.
 
 The immersion and the curvature stencil are evaluated exactly, on
-integers scaled to one common denominator.  Each vertex coordinate is
-the correctly rounded exact embedding, and frames whose Minkowski
-embedding is quadratic in (u, v) must come out at H = 1.0 exactly; the
-degree-4 cusp frame shows the genuine second-order step dependence.  A
-plain Fraction embedding and stencil kept here are the reference the
-integer kernel must match bit for bit.
+integers over each stencil point's own denominator.  Each vertex
+coordinate is the correctly rounded exact embedding, and frames whose
+Minkowski embedding is quadratic in (u, v) must come out at H = 1.0
+exactly; the degree-4 cusp frame shows the genuine second-order step
+dependence.  A plain Fraction embedding and stencil kept here are the
+reference the integer kernel must match bit for bit.
 """
 
 import cmath
