@@ -24,8 +24,11 @@ from pathlib import Path
 import pytest
 
 import bryantlab
+from bryantlab import hyperbolic
 from bryantlab.cli import _build_parser, main
 from bryantlab.connection import PathLoop, model_end_field
+from bryantlab.errors import DegenerateMetric, NotRepresentable, PoleAtZero
+from bryantlab.frames import Annulus, BryantFrame, catalog
 from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
 
 ONE = LaurentPoly.one()
@@ -219,6 +222,67 @@ class TestSurface:
         assert code == 2
         assert out == ""
         assert err.startswith("input error: ")
+
+
+# [[1, 0], [c, 1]]·[[1, p], [0, 1]] with a double pole in p: a Bryant frame
+_C = LaurentPoly.constant(GaussianRational(Fraction(1, 2), Fraction(1, 3)))
+_P = LaurentPoly({-2: Fraction(1, 3), -1: GaussianRational(1, 2), 1: 2})
+POLE_FRAME = LaurentMatrix(ONE, _P, _C, ONE + _C * _P)
+
+# (frame, domain, center, radius, n, step); catalog frames are by name
+SURFACE_CASES = {
+    **{name: (name, None, (0.3, -0.2), 1.0, 4, 1e-4)
+       for name in ("affine-null", "cusp-degree2", "horosphere", "lower-shear")},
+    # the middle point is one step right of 0: its stencil reaches the pole
+    "stencil on the pole": (POLE_FRAME, None, (2.0 ** -9, 0.0), 0.5, 3, 2.0 ** -9),
+    "vertex on the pole": (POLE_FRAME, None, (0.0, 0.0), 1.0, 3, 1e-4),
+    "outside the annulus": (POLE_FRAME, {"r_min": 0.5, "r_max": 2.0},
+                            (0.0, 0.0), 1.0, 4, 1e-4),
+    **{f"shear 10^{e}": (LaurentMatrix(ONE, LaurentPoly({1: Fraction(10) ** e}),
+                                      LaurentPoly.zero(), ONE),
+                         None, (0.0, 0.0), 1.0, 2, 1e-4)
+       for e in (200, 100, -200)},
+    "cusp branch point": ("cusp-degree2", None, (0.0, 0.0), 1.0, 5, 1e-4),
+}
+
+
+class TestSurfaceMatchesLibrary:
+    """Each OBJ vertex is immerse's point and each sample is
+    mean_curvature's H, or the name of the error it raises."""
+
+    @pytest.mark.parametrize("label", SURFACE_CASES)
+    def test_report(self, capsys, frame_file, label):
+        matrix, domain, center, radius, n, step = SURFACE_CASES[label]
+        if isinstance(matrix, str):
+            spec, frame = matrix, catalog(matrix)
+        else:
+            spec = frame_file("frame.json", matrix, domain=domain)
+            frame = BryantFrame(matrix, Annulus.from_json(domain) if domain
+                                else Annulus())
+        code, out, err = run(capsys, "surface", spec,
+                             "--center", repr(center[0]), repr(center[1]),
+                             "--radius", repr(radius), "--n", str(n),
+                             "--step", repr(step), "--format", "obj")
+        assert code == 0
+        points = hyperbolic.GridSpec(complex(*center), radius, n).points()
+        want_vertices, want_samples = [], []
+        for z in points:
+            try:
+                x, y, w = hyperbolic.immerse(frame, z).poincare()
+                want_vertices.append(f"v {x:.17g} {y:.17g} {w:.17g}")
+            except (ValueError, PoleAtZero, NotRepresentable):
+                pass
+            try:
+                want = {"H": hyperbolic.mean_curvature(frame, z, step).H.hex()}
+            except (DegenerateMetric, PoleAtZero, NotRepresentable) as exc:
+                want = {"error": type(exc).__name__}
+            want_samples.append({"z": [z.real, z.imag], **want})
+        assert [l for l in out.splitlines() if l.startswith("v ")] == want_vertices
+        got = json.loads(err)["samples"]
+        for s in got:
+            if "H" in s:
+                s["H"] = s["H"].hex()
+        assert got == want_samples
 
 
 @pytest.fixture

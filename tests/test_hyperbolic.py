@@ -14,6 +14,7 @@ import itertools
 import math
 import random
 import re
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -155,6 +156,57 @@ def _curvature_corpus():
 
 def _point(*coords):
     return MinkowskiPoint(*(float(x) for x in coords))
+
+
+def _bits(p):
+    """A vertex as the bits of its coordinates; None stays None."""
+    return None if p is None else tuple(x.hex() for x in astuple(p))
+
+
+def _immersed(frame, z):
+    """What a mesh keeps at z: immerse's point, or None where immerse
+    raises (outside the domain, at a pole, beyond the double range)."""
+    try:
+        return immerse(frame, z)
+    except (ValueError, PoleAtZero, NotRepresentable):
+        return None
+
+
+def _sample_bits(s):
+    """H and both forms as bits, so that -0.0 and 0.0 differ."""
+    return (s.H.hex(), [x.hex() for x in s.first_form.ravel()],
+            [x.hex() for x in s.second_form.ravel()])
+
+
+def _sample_outcome(frame, z, step):
+    try:
+        return _sample_bits(mean_curvature(frame, z, step))
+    except (DegenerateMetric, PoleAtZero, NotRepresentable) as exc:
+        return type(exc)
+
+
+def _grid_cases():
+    """(label, frame, grid, step): each corpus case as a one-point grid,
+    catalog grids, and grids where the vertex and the curvature part ways:
+    a stencil that reaches the pole from a valid vertex, a vertex on the
+    pole, points outside the annulus, a first form (e = 100) or a vertex
+    (e = 200) beyond the double range, a normal scale below it (e = -200)
+    and the cusp's branch point."""
+    for label, frame, z, step in _curvature_corpus():
+        yield label, frame, GridSpec(center=z, n=1), step
+    for name in CATALOG_NAMES:
+        for radius in (1.0, 50.0):
+            yield name, catalog(name), GridSpec(0.3 - 0.2j, radius, 4), 1e-4
+    pole = _seeded_bryant(random.Random(1818), -2, 2)
+    # the middle point is one step right of 0: its stencil's left point is 0
+    yield ("stencil on the pole", pole,
+           GridSpec(center=2.0 ** -9, radius=0.5, n=3), 2.0 ** -9)
+    yield "vertex on the pole", pole, GridSpec(n=3), 1e-4
+    yield ("outside the annulus", BryantFrame(pole.matrix, Annulus(0.5, 2.0)),
+           GridSpec(n=4), 1e-4)
+    for exponent in (200, 100, -200):
+        yield f"shear 10^{exponent}", _large_shear(exponent), GridSpec(n=2), 1e-4
+    yield "cusp branch point", catalog("cusp-degree2"), GridSpec(n=5), 1e-4
 
 
 def _constant_frame(a, b, c, d):
@@ -449,6 +501,24 @@ class TestMesh:
     def test_grid_row_major(self):
         pts = GridSpec(center=0j, radius=1.0, n=2).points()
         assert pts == [(-1 - 1j), (1 - 1j), (-1 + 1j), (1 + 1j)]
+
+    def test_vertices_match_immerse(self):
+        for label, frame, grid, step in _grid_cases():
+            mesh = sample_mesh(frame, grid)
+            want = [_bits(_immersed(frame, z)) for z in grid.points()]
+            assert [_bits(v) for v in mesh.vertices] == want, label
+
+    def test_grid_cases_reach_every_split_outcome(self):
+        # the vertex and the curvature fail differently at these points
+        seen = set()
+        for _, frame, grid, step in _grid_cases():
+            for z in grid.points():
+                sample = _sample_outcome(frame, z, step)
+                seen.add((_immersed(frame, z) is None,
+                          sample if isinstance(sample, type) else tuple))
+        assert {(False, PoleAtZero), (True, tuple), (False, DegenerateMetric),
+                (False, NotRepresentable), (True, NotRepresentable),
+                (True, PoleAtZero)} <= seen
 
     def test_obj_format(self):
         mesh = sample_mesh(catalog("horosphere"), GridSpec(n=2))
