@@ -25,8 +25,7 @@ from fractions import Fraction
 
 from . import connection, ends, frames, hyperbolic, parabolic
 from .defaults import DEFAULTS, NumericControls
-from .errors import (BryantLabError, DegenerateMetric, NotRepresentable,
-                     PoleAtZero)
+from .errors import BryantLabError
 from .series import LaurentMatrix, canonical_dumps
 
 EXIT_PASS = 0
@@ -121,16 +120,11 @@ def cmd_surface(args) -> int:
         raise InputError(str(exc)) from exc
     matrix, domain = _load_matrix(args.frame)
     frame = frames.BryantFrame(matrix, domain)
-    mesh = hyperbolic.sample_mesh(frame, grid)
-
-    def sample(z: complex):
-        try:
-            s = hyperbolic.mean_curvature(frame, z, step=controls.step)
-            return {"z": [z.real, z.imag], "H": s.H}
-        except (DegenerateMetric, PoleAtZero, NotRepresentable) as exc:
-            return {"z": [z.real, z.imag], "error": type(exc).__name__}
-
-    samples = [sample(z) for z in grid.points()]
+    mesh = hyperbolic.sample_mesh(frame, grid, controls.step)
+    samples = [{"z": [z.real, z.imag],
+                **({"H": s.H} if isinstance(s, hyperbolic.CurvatureSample)
+                   else {"error": type(s).__name__})}
+               for z, s in zip(grid.points(), mesh.samples)]
     values = [s["H"] for s in samples if "H" in s]
     summary = {
         "vertices": mesh.valid_vertex_count,

@@ -11,6 +11,9 @@ Curvature is measured extrinsically: first and second fundamental forms of
 (u, v) -> f(u + iv) by central finite differences of the Minkowski
 embedding, with the ambient covariant derivative obtained from the flat
 one by projecting along the hyperboloid normal (the position vector).
+sample_mesh evaluates each grid point once: the centre of its nine-point
+stencil is the vertex, the same rational immerse rounds, and the nine
+points give the curvature.
 
 The embedding and the finite differences are evaluated exactly, on
 Python integers: an IEEE double is a dyadic rational, so the sample point
@@ -49,7 +52,8 @@ from fractions import Fraction
 import numpy as np
 
 from .defaults import DEFAULTS
-from .errors import DegenerateMetric, NotRepresentable, PoleAtZero
+from .errors import (BryantLabError, DegenerateMetric, NotRepresentable,
+                     PoleAtZero)
 from .frames import BryantFrame
 
 Vec4 = tuple[int, int, int, int]
@@ -93,12 +97,7 @@ def immerse(frame: BryantFrame, z: complex) -> MinkowskiPoint:
     if not frame.domain.contains(z):
         raise ValueError(f"{z!r} lies outside the frame domain")
     _, _, d0, (y,), (g,) = _embeddings(frame, z)
-    d = d0 * g
-    try:
-        return MinkowskiPoint(*(c / d for c in y))
-    except OverflowError:
-        raise NotRepresentable(
-            f"the immersion at {z!r} exceeds the double range") from None
+    return _vertex(z, d0, y, g)
 
 
 def hyperbolic_distance(p: MinkowskiPoint, q: MinkowskiPoint) -> float:
@@ -116,29 +115,23 @@ def _mink(x: Vec4, y: Vec4) -> int:
     return x[0] * y[0] - x[1] * y[1] - x[2] * y[2] - x[3] * y[3]
 
 
-def _det3(r0, r1, r2) -> int:
-    return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
-
-
 def _normal_direction(f: Vec4, fu: Vec4, fv: Vec4) -> Vec4:
     """Unnormalized Minkowski-orthogonal complement of span{f, f_u, f_v}.
 
     The result n is minus the Minkowski-raised cofactor vector of
     (f, f_u, f_v), so det[f, f_u, f_v, n] = -<n, n> = q exactly: a
-    spacelike n (q > 0) is positively oriented.  Like _mink and _det3 it
-    only adds and multiplies, so it is exact on ints and on Fractions.
+    spacelike n (q > 0) is positively oriented.  The cofactors share the
+    six 2x2 minors p_ij of (f_u, f_v).  Exact on ints and on Fractions.
     """
-    eta = [(x[0], -x[1], -x[2], -x[3]) for x in (f, fu, fv)]
-    m = []
-    for k in range(4):
-        cols = [i for i in range(4) if i != k]
-        minor = _det3(tuple(eta[0][i] for i in cols),
-                      tuple(eta[1][i] for i in cols),
-                      tuple(eta[2][i] for i in cols))
-        m.append((-1) ** (k + 1) * minor)
-    return tuple(m)
+    f0, f1, f2, f3 = f
+    u0, u1, u2, u3 = fu
+    v0, v1, v2, v3 = fv
+    p01, p02, p03 = u0 * v1 - u1 * v0, u0 * v2 - u2 * v0, u0 * v3 - u3 * v0
+    p12, p13, p23 = u1 * v2 - u2 * v1, u1 * v3 - u3 * v1, u2 * v3 - u3 * v2
+    return (f1 * p23 - f2 * p13 + f3 * p12,
+            f0 * p23 - f2 * p03 + f3 * p02,
+            f1 * p03 - f0 * p13 - f3 * p01,
+            f0 * p12 - f1 * p02 + f2 * p01)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,21 +171,20 @@ def _horner_table(frame: BryantFrame, k: int):
     return lo, hi, den, table
 
 
-def _horner(row, re_w: int, im_w: int) -> tuple[int, int]:
-    re, im = row[0]
-    for cr, ci in row[1:]:
-        re, im = re * re_w - im * im_w + cr, re * im_w + im * re_w + ci
-    return re, im
-
-
 def _embed_numerator(table, re_w: int, im_w: int) -> Vec4:
     """Minkowski coordinates of A·A* at z = W/2^k, times D0·|W|^{-2lo}.
 
     D0 = 2·L²·2^{2k·hi}; the factor |W|^{-2lo} is the point's own, so the
     numerators of two points are over different denominators when lo < 0.
+    The four entries run Horner's rule on W in one loop.
     """
-    (ar, ai), (br, bi), (cr, ci), (dr, di) = (_horner(row, re_w, im_w)
-                                              for row in table)
+    rows = zip(*table)
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = next(rows)
+    for (a0, a1), (b0, b1), (c0, c1), (d0, d1) in rows:
+        ar, ai = ar * re_w - ai * im_w + a0, ar * im_w + ai * re_w + a1
+        br, bi = br * re_w - bi * im_w + b0, br * im_w + bi * re_w + b1
+        cr, ci = cr * re_w - ci * im_w + c0, cr * im_w + ci * re_w + c1
+        dr, di = dr * re_w - di * im_w + d0, dr * im_w + di * re_w + d1
     f00 = ar * ar + ai * ai + br * br + bi * bi
     f11 = cr * cr + ci * ci + dr * dr + di * di
     f01_re = ar * cr + ai * ci + br * dr + bi * di
@@ -201,29 +193,43 @@ def _embed_numerator(table, re_w: int, im_w: int) -> Vec4:
 
 
 def _embeddings(frame: BryantFrame, z: complex, step: float = 0.0,
-                offsets=((0, 0),)):
+                offsets=((0, 0),), tables=None):
     """Exact embeddings at the points z + step·(du + i·dv), one per offset.
 
     Returns (k, h, d0, ys, gs): the step is h/2^k and the embedding at the
-    j-th point is ys[j]/(d0·gs[j]), with h, d0 and gs[j] = |W_j|^{-2lo}
-    positive ints and ys[j] an integer 4-vector.  The sample point and the
+    j-th point is ys[j]/(d0·gs[j]), with h and d0 positive ints, gs[j] =
+    |W_j|^{-2lo} and ys[j] an integer 4-vector.  The sample point and the
     step are dyadic, hence so are the points: W_j/2^k with W_j = u + du·h
     + i(v + dv·h) in ints.  Each point keeps its own gs[j]; for a
-    polynomial frame (lo = 0) every gs[j] is 1.  PoleAtZero if a point is
-    0 and the frame has a pole there.
+    polynomial frame (lo = 0) every gs[j] is 1.  gs[j] is 0 exactly where
+    the point is 0 and the frame has a pole there.  tables, a dict from k
+    to _horner_table(frame, k), lets calls on one frame share the tables.
     """
     if not cmath.isfinite(z):
         raise ValueError(f"sample point must be finite, got {z!r}")
     (u, eu), (v, ev), (h, eh) = _dyadic(z.real), _dyadic(z.imag), _dyadic(step)
     k = max(eu, ev, eh)
     u, v, h = u << (k - eu), v << (k - ev), h << (k - eh)
-    lo, hi, den, table = _horner_table(frame, k)
+    tables = {} if tables is None else tables
+    if k not in tables:
+        tables[k] = _horner_table(frame, k)
+    lo, hi, den, table = tables[k]
     points = [(u + du * h, v + dv * h) for du, dv in offsets]
-    if lo < 0 and (0, 0) in points:
-        raise PoleAtZero(f"the frame has a pole at 0, reached from {z!r}")
     ys = [_embed_numerator(table, *w) for w in points]
     gs = [(re * re + im * im) ** -lo for re, im in points]
     return k, h, (2 * den * den) << (2 * k * hi), ys, gs
+
+
+def _vertex(z: complex, d0: int, y: Vec4, g: int) -> MinkowskiPoint:
+    """The point y/(d0·g) of _embeddings, each coordinate rounded once."""
+    if g == 0:
+        raise PoleAtZero(f"the frame has a pole at 0, reached from {z!r}")
+    d = d0 * g
+    try:
+        return MinkowskiPoint(*(c / d for c in y))
+    except OverflowError:
+        raise NotRepresentable(
+            f"the immersion at {z!r} exceeds the double range") from None
 
 
 # stencil offsets (du, dv) in units of the step, in the unpacking order below
@@ -242,10 +248,21 @@ def mean_curvature(frame: BryantFrame, z: complex,
     form or H beyond the double range, or a normal scale below it, raises
     NotRepresentable.
     """
+    step = _stencil_step(step)
+    z = complex(z)
+    return _curvature(z, *_embeddings(frame, z, step, _STENCIL))
+
+
+def _stencil_step(step: float) -> float:
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive and finite, got {step!r}")
-    z = complex(z)
-    k, h, d0, ys, gs = _embeddings(frame, z, float(step), _STENCIL)
+    return float(step)
+
+
+def _curvature(z: complex, k: int, h: int, d0: int, ys, gs) -> CurvatureSample:
+    """mean_curvature at z from the _embeddings of its _STENCIL."""
+    if 0 in gs:
+        raise PoleAtZero(f"the frame has a pole at 0, reached from {z!r}")
     y00, ypu, ymu, ypv, ymv, ypp, ypm, ymp, ymm = ys
     g00, gpu, gmu, gpv, gmv, gpp, gpm, gmp, gmm = gs
 
@@ -354,11 +371,13 @@ class GridSpec:
 class SurfaceMesh:
     """Quad mesh over a grid; vertices outside the frame domain, where the
     immersion has a pole or where a coordinate exceeds the double range
-    are None, and faces touching them are dropped."""
+    are None, and faces touching them are dropped; samples holds each grid
+    point's CurvatureSample or error."""
 
     grid: GridSpec
     vertices: tuple[MinkowskiPoint | None, ...]
     faces: tuple[tuple[int, int, int, int], ...]
+    samples: tuple[CurvatureSample | BryantLabError, ...]
 
     @property
     def valid_vertex_count(self) -> int:
@@ -379,16 +398,28 @@ class SurfaceMesh:
         return "\n".join(lines) + "\n"
 
 
-def sample_mesh(frame: BryantFrame, grid: GridSpec) -> SurfaceMesh:
+def sample_mesh(frame: BryantFrame, grid: GridSpec,
+                step: float = DEFAULTS.step) -> SurfaceMesh:
+    """Vertices and curvature from one exact stencil per grid point.
+
+    The stencil's centre is the rational that immerse rounds, so each
+    vertex is immerse(frame, z) bit for bit, and each sample is
+    mean_curvature(frame, z, step) or the error it raises."""
+    step = _stencil_step(step)
+    tables = {}
     verts: list[MinkowskiPoint | None] = []
+    samples: list[CurvatureSample | BryantLabError] = []
     for z in grid.points():
-        if not frame.domain.contains(z):
-            verts.append(None)
-            continue
+        k, h, d0, ys, gs = _embeddings(frame, z, step, _STENCIL, tables)
         try:
-            verts.append(immerse(frame, z))
+            verts.append(_vertex(z, d0, ys[0], gs[0])
+                         if frame.domain.contains(z) else None)
         except (PoleAtZero, NotRepresentable):
             verts.append(None)
+        try:
+            samples.append(_curvature(z, k, h, d0, ys, gs))
+        except (DegenerateMetric, PoleAtZero, NotRepresentable) as exc:
+            samples.append(exc)
     n = grid.n
     faces = []
     for j in range(n - 1):
@@ -396,4 +427,5 @@ def sample_mesh(frame: BryantFrame, grid: GridSpec) -> SurfaceMesh:
             quad = (j * n + k, j * n + k + 1, (j + 1) * n + k + 1, (j + 1) * n + k)
             if all(verts[i] is not None for i in quad):
                 faces.append(quad)
-    return SurfaceMesh(grid=grid, vertices=tuple(verts), faces=tuple(faces))
+    return SurfaceMesh(grid=grid, vertices=tuple(verts), faces=tuple(faces),
+                       samples=tuple(samples))

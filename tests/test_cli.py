@@ -284,6 +284,32 @@ class TestSurfaceMatchesLibrary:
                 s["H"] = s["H"].hex()
         assert got == want_samples
 
+    @pytest.mark.parametrize("argv, n", [
+        (["cusp-degree2", "--n", "6"], 6),
+        # a step of 2^-9 leaves k to each point's own mantissa, so the
+        # grid needs several Horner tables
+        (["affine-null", "--n", "4", "--center", "0.3", "-0.2",
+          "--step", repr(2.0 ** -9)], 4),
+    ])
+    def test_one_stencil_per_grid_point(self, capsys, monkeypatch, argv, n):
+        embedded, tabled = [], []
+
+        def counted(fn, calls, key):
+            def wrapper(*args, **kw):
+                out = fn(*args, **kw)
+                calls.append(key(args, out))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(hyperbolic, "_embeddings", counted(
+            hyperbolic._embeddings, embedded, lambda args, out: out[0]))
+        monkeypatch.setattr(hyperbolic, "_horner_table", counted(
+            hyperbolic._horner_table, tabled, lambda args, out: args[1]))
+        code, _, _ = run(capsys, "surface", *argv)
+        assert code == 0
+        assert len(embedded) == n * n
+        assert sorted(tabled) == sorted(set(embedded))
+
 
 @pytest.fixture
 def loop_file(write_json):

@@ -24,9 +24,10 @@ from hypothesis import strategies as st
 
 from bryantlab.errors import DegenerateMetric, NotRepresentable, PoleAtZero
 from bryantlab.frames import CATALOG_NAMES, Annulus, BryantFrame, catalog
-from bryantlab.hyperbolic import (GridSpec, MinkowskiPoint, _horner_table, _mink,
-                                  _normal_direction, hyperbolic_distance,
-                                  immerse, mean_curvature, sample_mesh)
+from bryantlab.hyperbolic import (CurvatureSample, GridSpec, MinkowskiPoint,
+                                  _horner_table, _mink, _normal_direction,
+                                  hyperbolic_distance, immerse, mean_curvature,
+                                  sample_mesh)
 from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
 from conftest import seeded_coeff, special_frames
 
@@ -46,6 +47,31 @@ def _leibniz_det(rows):
             term *= rows[i][k]
         total += term
     return total
+
+
+def _det3(r0, r1, r2):
+    return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
+
+
+def _cofactor_normal(f, fu, fv):
+    """Minus the Minkowski-raised cofactor vector of (f, f_u, f_v), one
+    3x3 determinant per coordinate."""
+    eta = [(x[0], -x[1], -x[2], -x[3]) for x in (f, fu, fv)]
+    m = []
+    for k in range(4):
+        cols = [i for i in range(4) if i != k]
+        minor = _det3(*(tuple(row[i] for i in cols) for row in eta))
+        m.append((-1) ** (k + 1) * minor)
+    return tuple(m)
+
+
+# small integers and integers of 2990 to 3000 bits, either sign
+_normal_entries = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.builds(lambda sign, x: sign * x, st.sampled_from((-1, 1)),
+              st.integers(min_value=2 ** 2990, max_value=2 ** 3000)))
 
 
 def _exact_embedding(frame, u, v):
@@ -411,6 +437,17 @@ class TestMeanCurvature:
         n = _normal_direction(f, fu, fv)
         assert _leibniz_det((f, fu, fv, n)) == -_mink(n, n)
 
+    @given(st.lists(_normal_entries, min_size=12, max_size=12))
+    @settings(max_examples=200)
+    def test_normal_matches_the_cofactor_expansion(self, xs):
+        # the six-minor kernel against the four 3x3 cofactors it replaced,
+        # on entries up to 3000 bits
+        f, fu, fv = (tuple(xs[i:i + 4]) for i in (0, 4, 8))
+        n = _normal_direction(f, fu, fv)
+        assert n == _cofactor_normal(f, fu, fv)
+        assert _mink(n, f) == _mink(n, fu) == _mink(n, fv) == 0
+        assert _leibniz_det((f, fu, fv, n)) == -_mink(n, n)
+
     @pytest.mark.parametrize("exponent", [-70, 0, 50])
     def test_scaled_horosphere_is_umbilic(self, exponent):
         # the shear is a horosphere with metric scale 10^(2·exponent): II = I
@@ -504,9 +541,24 @@ class TestMesh:
 
     def test_vertices_match_immerse(self):
         for label, frame, grid, step in _grid_cases():
-            mesh = sample_mesh(frame, grid)
+            mesh = sample_mesh(frame, grid, step)
             want = [_bits(_immersed(frame, z)) for z in grid.points()]
             assert [_bits(v) for v in mesh.vertices] == want, label
+
+    def test_samples_match_mean_curvature(self):
+        for label, frame, grid, step in _grid_cases():
+            mesh = sample_mesh(frame, grid, step)
+            got = [_sample_bits(s) if isinstance(s, CurvatureSample) else type(s)
+                   for s in mesh.samples]
+            want = [_sample_outcome(frame, z, step) for z in grid.points()]
+            assert got == want, label
+            assert [s.z for s in mesh.samples
+                    if isinstance(s, CurvatureSample)] == [
+                z for z, w in zip(grid.points(), want) if not isinstance(w, type)]
+
+    def test_step_must_be_positive_and_finite(self):
+        with pytest.raises(ValueError):
+            sample_mesh(catalog("horosphere"), GridSpec(n=2), step=0.0)
 
     def test_grid_cases_reach_every_split_outcome(self):
         # the vertex and the curvature fail differently at these points
