@@ -219,10 +219,11 @@ def hermitian_pairing(end: SingularEnd,
                       pair1: tuple[LaurentPoly, LaurentPoly],
                       pair2: tuple[LaurentPoly, LaurentPoly],
                       z: complex) -> complex:
-    """The singular Hermitian metric |z|^{2α}f p̄ + |z|^{-2α}g q̄ at z.
+    """The singular Hermitian metric |z|^{-2α}f p̄ + |z|^{2α}g q̄ at z.
 
-    Flat for ∇_α-parallel sections; the weight shows up as the growth
-    rate of the two summands at the puncture.
+    Flat for ∇_α: the parallel sections (z^α, 0) and (0, z^{-α}) have
+    norm 1, and the weight shows up as the growth rate of the two
+    summands at the puncture.
     """
     f, g = pair1
     p, q = pair2
@@ -230,7 +231,7 @@ def hermitian_pairing(end: SingularEnd,
     if w == 0:
         raise ZeroDivisionError("the pairing is singular at the puncture")
     a = float(end.alpha)
-    return (w ** a) * f(z) * p(z).conjugate() + (w ** -a) * g(z) * q(z).conjugate()
+    return (w ** -a) * f(z) * p(z).conjugate() + (w ** a) * g(z) * q(z).conjugate()
 
 
 def end_report(end: SingularEnd, frame: LaurentMatrix) -> dict:

@@ -15,7 +15,8 @@ from bryantlab.ends import (SingularEnd, end_report, hermitian_pairing,
                             polo_bound_check, residue_parabolic,
                             stareq_residuals, weight_from_holonomy)
 from bryantlab.errors import (HypothesisViolated, NotUnitary, TrivialHolonomy)
-from bryantlab.frames import catalog, omega_quadratic
+from bryantlab.frames import BryantFrame, catalog, omega_quadratic
+from bryantlab.hyperbolic import immerse
 from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
 from conftest import special_frames
 
@@ -225,16 +226,47 @@ class TestParabolicStructures:
 
 
 class TestHermitianPairing:
-    def test_flag_direction_grows_like_abs_z(self):
+    @pytest.mark.parametrize("alpha", [(1, 4), (1, 3), (1, 2), (7, 10)])
+    def test_parallel_sections_have_norm_one(self, alpha):
+        # ∇_α(z^α, 0) = 0 and ∇_α(0, z^-α) = 0, so the flat metric gives
+        # both norm 1 everywhere; neither is a Laurent polynomial, and the
+        # pairing evaluates any callable section the same way
+        e = end(*alpha)
+        a = float(e.alpha)
+        first = (lambda z: z ** a, lambda z: 0j)
+        second = (lambda z: 0j, lambda z: z ** -a)
+        for z in (0.01, 0.3 + 0.4j, -2 + 1j, 5j, 40.0):
+            assert abs(hermitian_pairing(e, first, first, z) - 1) < 1e-12
+            assert abs(hermitian_pairing(e, second, second, z) - 1) < 1e-12
+
+    @pytest.mark.parametrize("w", [0.9 + 0.3j, 0.2 - 0.5j, -1.5 + 2j])
+    def test_matches_the_cover_surface(self, w):
+        # the monomial end A = [[-z/3, -4/3], [1, 1/z]] of weight 1/3; on
+        # the cover z = w^3, B = diag(1/w, w)·A(w^3) is a Bryant frame, and
+        # f = Bᵀ·Bᵀ* has diagonal entries x0 ± x3, the norms of A's columns
+        e = end(1, 3)
+        a, c = LaurentPoly({1: Fraction(-1, 3)}), ONE
+        b, d = LaurentPoly.constant(Fraction(-4, 3)), LaurentPoly({-1: 1})
+        cover = BryantFrame(LaurentMatrix(
+            LaurentPoly({2: Fraction(-1, 3)}), LaurentPoly({1: 1}),
+            LaurentPoly({-1: Fraction(-4, 3)}), LaurentPoly({-2: 1})))
+        p = immerse(cover, w)
+        z = w ** 3
+        assert math.isclose(hermitian_pairing(e, (a, c), (a, c), z).real,
+                            p.x0 + p.x3, rel_tol=1e-13)
+        assert math.isclose(hermitian_pairing(e, (b, d), (b, d), z).real,
+                            p.x0 - p.x3, rel_tol=1e-13)
+
+    def test_first_direction_goes_like_inverse_abs_z(self):
         e = end(1, 2)
         sec = (ONE, ZERO)
-        assert abs(hermitian_pairing(e, sec, sec, 3 + 4j) - 5.0) < 1e-12
-        assert abs(hermitian_pairing(e, sec, sec, 0.01) - 0.01) < 1e-14
+        assert abs(hermitian_pairing(e, sec, sec, 3 + 4j) - 0.2) < 1e-14
+        assert abs(hermitian_pairing(e, sec, sec, 0.01) - 100.0) < 1e-10
 
-    def test_opposite_direction_decays(self):
+    def test_second_direction_goes_like_abs_z(self):
         e = end(1, 2)
         sec = (ZERO, ONE)
-        assert abs(hermitian_pairing(e, sec, sec, 4.0) - 0.25) < 1e-14
+        assert abs(hermitian_pairing(e, sec, sec, 4.0) - 4.0) < 1e-14
 
     def test_singular_at_puncture(self):
         with pytest.raises(ZeroDivisionError):
