@@ -14,11 +14,12 @@ end Θ = -diag(α, -α) dz/z the transport around a counterclockwise unit
 circle is diag(e^{2πiα}, e^{-2πiα}); this integrator is the package's
 ground truth for holonomy conventions.
 
-As stored, den·Y' = -N·Y, so the Taylor coefficients of Y, N(c + w) and
-den(c + w) at a centre c obey
-den_0 (m+1) y_{m+1} = -Σ_k N_k y_{m-k} - Σ_{k>=1} den_k (m+1-k) y_{m+1-k}.
-A step sums that series over at most half the distance to the nearest
-pole, and less where Θ is so large that its terms would cancel (_radius).
+As stored, den·Y' = -N·Y, so the Taylor coefficients of Y, N(m + w) and
+den(m + w) at a centre m obey
+den_0 (k+1) y_{k+1} = -Σ_j N_j y_{k-j} - Σ_{j>=1} den_j (k+1-j) y_{k+1-j}.
+A step from c to e sums that series for Φ, Φ(0) = I, at its midpoint m at
+both ends, each at most half way from m to the nearest pole and nearer where
+Θ is so large that the terms would cancel (_radius): Y(e) = Φ(e - m)·Φ(c - m)^-1·Y(c).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -424,34 +426,55 @@ def _radius(n: list, d: list) -> float:
     return 1 / r if r else math.inf
 
 
-def _taylor_step(n: list, d: list, y: tuple, h: complex, ratio: float,
-                 atol: float) -> tuple:
-    """Y(c + h) from y = Y(c) and the coefficients of N and den at c; stops
-    once ratio/(1 - ratio) times the largest of the last K terms is within
-    max(atol, floor)·max(1, |S|), |S| the largest entry of the partial sum."""
-    order = max(len(n), 1)
-    # term m+1 = -Σ_j (N_j + (m-j) den_{j+1}) h^{j+1} term_{m-j} / (den_0 (m+1))
+def _mul(x: tuple, y: tuple) -> tuple:
+    """The product of two 2x2 matrices stored row-major as 4-tuples."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def _taylor_step(n: list, d: list, y: tuple, a: complex, b: complex,
+                 ratio: float, atol: float) -> tuple:
+    """Y(m + b) = Φ(b)·Φ(a)^-1·y from y = Y(m + a) by one series of Φ' = -ΘΦ,
+    Φ(0) = I, at m, stopped once ε = ratio/(1 - ratio)·max|last K terms| <= tol
+    and ε·|Z|·(1 + |Φ(b)Φ(a)^-1|) <= tol·max(1, |Y|), Z = Φ(a)^-1·y."""
+    h, q = (a, b) if (flip := abs(a) > abs(b)) else (b, a)   # scale by the longer
+    q, qk, g = q / h if h else 0j, 1 + 0j, ratio / (1 - ratio)
+    tol = cut = max(atol, _FLOOR)   # the full test runs once ε <= cut
+    # term k = -Σ_j (N_j + (k-1-j) den_{j+1}) h^{j+1} term_{k-1-j} / (den_0 k)
     nh = [[x * h ** (j + 1) / d[0] for x in nj] for j, nj in enumerate(n)]
-    dh = [x * h ** (j + 1) / d[0] for j, x in enumerate(d[1:])] + [0j] * order
-    terms, sizes, s = [y], [sum(map(abs, y))], y
-    for m in itertools.count():
+    dh = [x * h ** (j + 1) / d[0] for j, x in enumerate(d[1:])] + [0j] * len(n)
+    terms = deque([(1 + 0j, 0j, 0j, 1 + 0j)], len(n) or 1)   # the last K, newest first
+    s0, s1, s2, s3 = r0, r1, r2, r3 = 1 + 0j, 0j, 0j, 1 + 0j   # sums at h, q·h
+    for k in itertools.count(1):
         a0 = a1 = a2 = a3 = 0j
-        for j, ((p, q, u, v), e, (y0, y1, y2, y3)) in enumerate(zip(nh, dh, terms)):
-            e *= m - j
-            a0 += (p + e) * y0 + q * y2
-            a1 += (p + e) * y1 + q * y3
+        for j, ((p, t, u, v), e, (y0, y1, y2, y3)) in enumerate(zip(nh, dh, terms)):
+            e *= k - 1 - j
+            a0 += (p + e) * y0 + t * y2
+            a1 += (p + e) * y1 + t * y3
             a2 += u * y0 + (v + e) * y2
             a3 += u * y1 + (v + e) * y3
-        g = -1 / (m + 1)
-        z = (a0 * g, a1 * g, a2 * g, a3 * g)
-        # the last K terms, newest first
-        terms, sizes = ([z] + terms)[:order], ([sum(map(abs, z))] + sizes)[:order]
-        if not math.isfinite(sizes[0]):
-            raise ToleranceNotMet(f"Taylor term {m + 1} is not finite")
-        s = [a + b for a, b in zip(s, z)]
-        scale = max(1.0, *map(abs, s))
-        if max(sizes) * ratio / (1 - ratio) <= max(atol, _FLOOR) * scale:
-            return tuple(s)
+        a0, a1, a2, a3 = -a0 / k, -a1 / k, -a2 / k, -a3 / k
+        size = abs(a0) + abs(a1) + abs(a2) + abs(a3)
+        if not math.isfinite(size):
+            raise ToleranceNotMet(f"Taylor term {k} is not finite")
+        terms.appendleft((a0, a1, a2, a3))
+        s0, s1, s2, s3 = s0 + a0, s1 + a1, s2 + a2, s3 + a3
+        qk *= q
+        r0, r1, r2, r3 = r0 + a0 * qk, r1 + a1 * qk, r2 + a2 * qk, r3 + a3 * qk
+        if size * g <= cut and (eps := g * max(sum(map(abs, x)) for x in terms)) <= cut:
+            s, r = (s0, s1, s2, s3), (r0, r1, r2, r3)
+            fb, fa = (r, s) if flip else (s, r)   # Φ(b), Φ(a)
+            det = fa[0] * fa[3] - fa[1] * fa[2]
+            inv = (fa[3] / det, -fa[1] / det, -fa[2] / det, fa[0] / det)
+            w, z = _mul(fb, inv), _mul(inv, y)
+            ye = _mul(w, y)
+            gain = sum(map(abs, z)) * (1 + sum(map(abs, w)))
+            scale = tol * max(1.0, *map(abs, ye))
+            if not math.isfinite(gain + scale):
+                raise OverflowError   # Y leaves the double range
+            if eps * gain <= scale:
+                return ye
+            cut = scale / gain
 
 
 def parallel_transport(theta: HiggsField, path: Path,
@@ -459,10 +482,11 @@ def parallel_transport(theta: HiggsField, path: Path,
     """Y(1) for dY = -Θ(z) dz Y along the path, Y(0) = I.
 
     The path must keep distance >= pole_clearance from every pole of the
-    field (PoleTooClose otherwise).  Each step holds its series tail within
-    max(share·atol, 4·eps)·max(1, |Y|), share its fraction of the path length;
-    ToleranceNotMet is raised once the 4·eps floors would sum past atol, so
-    the tails of a path sum to <= 2·atol·max(1, |Y|).
+    field (PoleTooClose otherwise).  Each step sums one series at both ends,
+    each within ρ/2 of its midpoint, and holds the tails of Y at its end
+    within max(share·atol, 4·eps)·max(1, |Y|), share its fraction of the
+    path length; ToleranceNotMet is raised once the 4·eps floors would sum
+    past atol, so the tails of a path sum to <= 2·atol·max(1, |Y|).
     """
     for p in theta.poles:
         d = path.min_distance(p)
@@ -476,26 +500,31 @@ def parallel_transport(theta: HiggsField, path: Path,
     n = list(zip(*(p.float_coeffs(0, hi) for p in ents)))
     d = theta.den.float_coeffs(0, theta.den.degree())
     length = sum(abs(seg.velocity(0.0)) for seg in path.segments)
-    y, steps = (1 + 0j, 0j, 0j, 1 + 0j), 0
+    y, steps, rho = (1 + 0j, 0j, 0j, 1 + 0j), 0, math.inf
     try:
         for seg in path.segments:
             speed = abs(seg.velocity(0.0))
             t, c = (0.0 if speed else 1.0), seg.at(0.0)
             while t < 1.0:
                 steps += 1
-                nc = list(zip(*(_shift(col, c) for col in zip(*n))))
-                dc = _shift(d, c)
-                rho = min([_radius(nc, dc)] + [abs(c - p) for p in theta.poles])
-                dt = 0.5 * rho / speed   # chord <= arc <= rho/2
-                # 2^-52 is the resolution of t near 1; each step rounds by up to 4 eps
-                if not (dt >= 2.0 ** -52 and steps * _FLOOR <= controls.atol):
-                    raise ToleranceNotMet(
-                        f"step {steps} of {dt:.1e} at t={t!r}, atol {controls.atol:.1e}")
-                t_next = min(1.0, t + dt)
-                h = seg.at(t_next) - c
+                dt = min(1.0 - t, rho / speed)   # chord <= arc <= ρ of the last midpoint
+                while True:
+                    # 2^-52 is the resolution of t near 1; each step rounds by up to 4 eps
+                    if not (dt >= 2.0 ** -52 and steps * _FLOOR <= controls.atol):
+                        raise ToleranceNotMet(
+                            f"step {steps} of {dt:.1e} at t={t!r}, atol {controls.atol:.1e}")
+                    t_next = min(1.0, t + dt)
+                    m, e = seg.at(0.5 * (t + t_next)), seg.at(t_next)
+                    nm, dm = list(zip(*(_shift(col, m) for col in zip(*n)))), _shift(d, m)
+                    rho = min([_radius(nm, dm)] + [abs(m - p) for p in theta.poles])
+                    half = max(abs(c - m), abs(e - m))
+                    if 0 < rho and 2 * half <= rho:
+                        break
+                    # >= 10 % shorter; half = 0 only where ρ(m) is 0 or nan
+                    dt = 0.9 * dt * rho / (2 * half) if half else 0.0
                 share = speed * (t_next - t) / length   # of the path length
-                y = _taylor_step(nc, dc, y, h, abs(h) / rho, share * controls.atol)
-                t, c = t_next, seg.at(t_next)
+                y = _taylor_step(nm, dm, y, c - m, e - m, half / rho, share * controls.atol)
+                t, c = t_next, e
     except OverflowError:
         raise ToleranceNotMet("transport leaves the double range") from None
     return np.array(y, dtype=complex).reshape(2, 2)

@@ -352,11 +352,12 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n!r}")
-        if not (math.isfinite(self.radius) and self.radius > 0):
+        if not (math.isfinite(2 * self.radius) and self.radius > 0):
             raise ValueError(
-                f"radius must be positive and finite, got {self.radius!r}")
-        if not cmath.isfinite(self.center):
-            raise ValueError(f"center must be finite, got {self.center!r}")
+                f"radius must be positive and 2·radius finite, got {self.radius!r}")
+        corner = self.radius * (1 + 1j)
+        if not (cmath.isfinite(self.center + corner) and cmath.isfinite(self.center - corner)):
+            raise ValueError(f"center ± radius·(1+i) must be finite, got {self.center!r}")
 
     def points(self) -> list[complex]:
         """Row-major: index j*n + k is row j (imaginary), column k (real)."""

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from bryantlab.connection import HiggsField, model_end_field
+from bryantlab import connection
+from bryantlab.connection import (HiggsField, PathLoop, model_end_field,
+                                  parallel_transport)
 from bryantlab.series import LaurentMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,6 +89,30 @@ def test_first_job_of_each_kind_passes(bench, tmp_path, name):
         seen.add(job.kind)
         _, result = worker.run_job(job)
         assert result.ok, f"{job.kind} [{job.label}]: {result.detail}"
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_every_holonomy_job_meets_its_oracle(bench, tmp_path, seed):
+    worker, _, workloads = bench
+    for job in workloads.build("holonomy", seed, str(tmp_path)):
+        _, result = worker.run_job(job)
+        assert result.ok, f"{job.kind} [{job.label}]: {result.detail}"
+        assert result.err <= 1e-12, f"{job.kind} [{job.label}]: {result.err:.3e}"
+
+
+def test_two_pole_loops_take_few_series(bench, tmp_path, monkeypatch):
+    # one Taylor series per transport step, summed at both of its ends
+    # (134 series when each step summed its series at one end)
+    _, _, workloads = bench
+    workloads.build("holonomy", 7, str(tmp_path))
+    loops = json.loads((tmp_path / "two_pole_loops.json").read_text())["loops"]
+    series = []
+    step = connection._taylor_step
+    monkeypatch.setattr(connection, "_taylor_step",
+                        lambda *args: series.append(1) or step(*args))
+    for loop in loops:
+        parallel_transport(workloads.two_pole_field(), PathLoop.from_json(loop))
+    assert len(series) <= 90
 
 
 @pytest.mark.parametrize("seed", [0, 7, 8])

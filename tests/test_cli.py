@@ -183,7 +183,7 @@ class TestSurface:
     @pytest.mark.parametrize("flags", [
         ("--step", "0"), ("--step", "-1"), ("--step", "nan"),
         ("--radius", "inf"), ("--radius", "0"), ("--center", "nan", "0"),
-        ("--n", "0"),
+        ("--n", "0"), ("--radius", "1e308", "--n", "3"),
     ])
     def test_invalid_grid_is_input_error(self, capsys, flags):
         code, out, err = run(capsys, "surface", "horosphere", *flags)

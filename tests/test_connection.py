@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bryantlab import connection
 from bryantlab.connection import (ArcSegment, HiggsField, LineSegment, Path,
                                   PathLoop, cousin_data, det_higgs,
                                   higgs_from_frame, holonomy, ktuy_check,
@@ -499,7 +500,7 @@ class TestTaylorTransport:
         assert np.linalg.norm(y - np.diag([a, 1 / a])) <= 1e-12
 
     def test_tolerance_at_the_rounding_of_the_steps(self):
-        # the unit circle takes 13 steps, whose 4·eps floors sum to 1.2e-14
+        # the unit circle takes 7 steps, whose 4·eps floors sum to 6.2e-15
         theta = model_end_field(Fraction(1, 3))
         w = cmath.exp(2j * math.pi / 3)
         for tol in (1e-6, 1e-12, 2e-14):
@@ -508,6 +509,57 @@ class TestTaylorTransport:
             assert abs(np.linalg.det(y) - 1) <= tol
         with pytest.raises(ToleranceNotMet):
             parallel_transport(theta, unit_circle(), DEFAULTS.with_(atol=1e-15))
+
+    def test_unit_circle_takes_seven_series(self, monkeypatch):
+        # each step sums one series at both ends, each ρ/2 = 1/2 from its
+        # midpoint, so a step covers an arc of about 1 (13 steps at one end)
+        series = []
+        step = connection._taylor_step
+        monkeypatch.setattr(connection, "_taylor_step",
+                            lambda *args: series.append(1) or step(*args))
+        parallel_transport(model_end_field(Fraction(1, 3)), unit_circle())
+        assert len(series) <= 7
+
+    def test_leaving_the_double_range_raises(self):
+        # Y = diag(e^-750, e^750) overflows; Φ's own terms stay finite
+        theta = HiggsField(LaurentMatrix.diagonal(LaurentPoly.constant(5),
+                                                  LaurentPoly.constant(-5)))
+        with pytest.raises(ToleranceNotMet, match="double range"):
+            parallel_transport(theta, Path.polyline([0, 150]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.fractions(min_value=0, max_value=1, max_denominator=1000)
+           .filter(lambda a: 0 < a < 1),
+           st.sampled_from([1e-6, 1e-9, 1e-12]),
+           st.floats(min_value=-math.pi, max_value=math.pi),
+           st.one_of(
+               st.tuples(st.just("arc"),
+                         st.floats(min_value=-2, max_value=3).map(lambda e: 10 ** e),
+                         st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
+                         .filter(lambda s: abs(s) > 1e-3)),
+               st.tuples(st.just("line"), st.floats(min_value=1, max_value=2),
+                         st.tuples(*[st.floats(min_value=-3, max_value=1)
+                                     .map(lambda e: 10 ** e)] * 2))))
+    def test_open_paths_meet_their_closed_forms(self, alpha, atol, angle, shape):
+        # along any path off the pole Y = diag((z1/z0)^α, (z1/z0)^-α), with
+        # log(z1/z0) the change of log z along the path: i·sweep on an arc
+        # about 0, the principal value on a line
+        controls = DEFAULTS.with_(atol=atol)
+        if shape[0] == "arc":
+            _, radius, sweep = shape
+            path = Path([ArcSegment(0j, radius, angle, angle + sweep)])
+            log = 1j * sweep
+        else:   # passes the pole at 1-2x the clearance
+            _, gap, (back, ahead) = shape
+            foot = gap * controls.pole_clearance * cmath.exp(1j * angle)
+            direction = 1j * cmath.exp(1j * angle)
+            z0, z1 = foot - back * direction, foot + ahead * direction
+            path = Path.polyline([z0, z1])
+            log = cmath.log(z1 / z0)
+        y = parallel_transport(model_end_field(alpha), path, controls)
+        a = cmath.exp(float(alpha) * log)
+        bound = 2 * atol * max(1.0, *np.abs(y).ravel())
+        assert np.linalg.norm(y - np.diag([a, 1 / a])) <= bound
 
     def test_huge_polynomial_field_raises_instead_of_crawling(self):
         # ||Θ|| = 1e20 asks for steps of 1e-20 on a unit segment
