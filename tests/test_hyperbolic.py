@@ -531,8 +531,8 @@ class TestMesh:
         {"n": 0}, {"radius": 0.0}, {"radius": math.inf}, {"radius": math.nan},
         {"center": complex(math.nan, 0.0)},
         # 2·radius, or a corner center ± radius·(1+i), leaves the double range
-        {"radius": 1e308}, {"center": 1e308 + 0j, "radius": 1e308},
-        {"center": -1e308j, "radius": 1e308},
+        {"radius": 1e308}, {"center": 1.7e308 + 0j, "radius": 5e307},
+        {"center": -1.7e308j, "radius": 5e307},
     ])
     def test_grid_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
