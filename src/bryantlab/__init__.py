@@ -6,10 +6,9 @@ singular-end calculus, and parabolic stability bookkeeping.
 """
 
 from .connection import (CousinData, HiggsField, HolonomyReport, ArcSegment,
-                         LineSegment, Path, PathLoop, RationalForm,
-                         cousin_data, det_higgs, higgs_from_frame, holonomy,
-                         ktuy_check, model_end_field, parallel_transport,
-                         simple_pole_field)
+                         LineSegment, Path, PathLoop, cousin_data, det_higgs,
+                         higgs_from_frame, holonomy, ktuy_check,
+                         model_end_field, parallel_transport, simple_pole_field)
 from .defaults import DEFAULTS, NumericControls
 from .ends import (LocalParabolicStructure, PoloReport, SingularEnd,
                    end_report, hermitian_pairing, local_parabolic,
@@ -43,7 +42,7 @@ __all__ = [
     "LineSegment", "LocalParabolicStructure", "MarkedPoint",
     "MinkowskiPoint", "NotNull", "NotRepresentable", "NotSpecial",
     "NotUnitary", "NumericControls", "ParabolicData", "Path", "PathLoop",
-    "PoleAtZero", "PoleTooClose", "PoloReport", "RationalForm",
+    "PoleAtZero", "PoleTooClose", "PoloReport",
     "RegionContainsPole", "RiemannRochCounts", "SingularEnd",
     "StabilityReport", "SubbundleCandidate", "SurfaceMesh",
     "ToleranceNotMet", "TrivialHolonomy", "UnknownName", "bounds_csv",
@@ -52,8 +51,8 @@ __all__ = [
     "end_report", "existence_bounds", "hermitian_pairing",
     "higgs_from_frame", "holonomy", "hyperbolic_distance", "immerse",
     "ktuy_check", "local_parabolic", "mean_curvature", "model_end_field",
-    "nabla_alpha", "omega_alpha", "parabolic_degree", "parallel_transport",
-    "polo_bound_check", "residue_parabolic",
+    "nabla_alpha", "omega_alpha", "omega_quadratic", "parabolic_degree",
+    "parallel_transport", "polo_bound_check", "residue_parabolic",
     "riemann_roch_counts", "sample_mesh", "simple_pole_field",
     "stability_verdict", "stareq_residuals", "weight_from_holonomy",
 ]

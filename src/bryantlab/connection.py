@@ -38,7 +38,7 @@ from .defaults import DEFAULTS, NumericControls
 from .errors import NotNull, NotSpecial, PoleTooClose, ToleranceNotMet
 from .frames import BryantFrame, laurent_roots
 from .series import (CoeffLike, GaussianRational, LaurentMatrix, LaurentPoly,
-                     json_float, json_point)
+                     json_float, json_point, poly_gcd)
 
 _ONE = LaurentPoly.one()
 
@@ -50,9 +50,10 @@ _ONE = LaurentPoly.one()
 class HiggsField:
     """Θ = (num / den) dz with trace-free numerator, in normal form: num and
     den are polynomials in z, one of them nonzero at 0, divided by their
-    monic gcd, so ``poles`` are the roots of den.  Descriptions of one Θ
-    that differ by a monic common factor, such as a file's older Laurent
-    form of the model end (z^-1 over 1), give equal fields."""
+    monic gcd, so ``poles`` are the roots of den, each listed once.
+    Descriptions of one Θ that differ by a monic common factor, such as a
+    file's older Laurent form of the model end (z^-1 over 1), give equal
+    fields."""
 
     num: LaurentMatrix
     den: LaurentPoly = field(default_factory=LaurentPoly.one)
@@ -66,8 +67,10 @@ class HiggsField:
         num, den = _normal(self.num, self.den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        g = poly_gcd(den, den.derivative())   # den's square-free part is den // g
         object.__setattr__(self, "poles", tuple(sorted(
-            laurent_roots(den), key=lambda w: (abs(w), w.real, w.imag))))
+            laurent_roots(den if g == _ONE else den // g),
+            key=lambda w: (abs(w), w.real, w.imag))))
 
     def value(self, z: complex) -> np.ndarray:
         return self.num.evaluate(z) / self.den(complex(z))
@@ -81,35 +84,15 @@ class HiggsField:
                    LaurentPoly.from_json(data["denominator"]))
 
 
-def _divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Quotient and remainder of polynomials in z over Q(i); b is nonzero."""
-    q, lead = LaurentPoly.zero(), b.coeff(b.degree())
-    while not a.is_zero and a.degree() >= b.degree():
-        t = LaurentPoly.monomial(a.degree() - b.degree(), a.coeff(a.degree()) / lead)
-        q, a = q + t, a - t * b
-    return q, a
-
-
 def _normal(num: LaurentMatrix, den: LaurentPoly) -> tuple[LaurentMatrix, LaurentPoly]:
     """num and den times z^-lo, one of them nonzero at 0, over their monic gcd;
-    z cannot divide that gcd, so Euclid runs on polynomials stripped of z^k."""
+    z cannot divide that gcd, so it is the gcd of the entries stripped of z^k."""
     lo = min(p.valuation() for p in num.entries + (den,) if not p.is_zero)
     num, den = num.map(lambda p: p.shift(-lo)), den.shift(-lo)
-
-    def strip(p):
-        return p if p.is_zero else p.shift(-p.valuation())
-
-    g = strip(den)
-    for p in map(strip, num.entries):
-        while not p.is_zero and g.degree():
-            g, p = p, _divmod(g, p)[1]
-    if not g.degree():
+    g = poly_gcd(den, *num.entries)
+    if g == _ONE:
         return num, den
-    g = g.scale(GaussianRational(1) / g.coeff(g.degree()))
-
-    def quo(p):
-        return p if p.is_zero else _divmod(strip(p), g)[0].shift(p.valuation())
-    return num.map(quo), quo(den)
+    return num.map(lambda p: p // g), den // g
 
 
 def higgs_from_frame(frame: Union[BryantFrame, LaurentMatrix]) -> HiggsField:
@@ -142,7 +125,7 @@ def simple_pole_field(residues: Sequence[tuple[CoeffLike, LaurentMatrix]]) -> Hi
         den = den * f
     num = LaurentMatrix.diagonal(LaurentPoly.zero(), LaurentPoly.zero())
     for f, (_, r) in zip(factors, residues):
-        cof = _divmod(den, f)[0]
+        cof = den // f
         num = num + r.map(lambda p: p * cof)
     return HiggsField(num, den)
 
@@ -160,32 +143,23 @@ def det_higgs(theta: HiggsField) -> tuple[LaurentPoly, LaurentPoly]:
 
 
 @dataclass(frozen=True)
-class RationalForm:
-    """A 1-form (num / den) dz."""
-
-    num: LaurentPoly
-    den: LaurentPoly
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-
-@dataclass(frozen=True)
 class CousinData:
     """Exact 1-form triple (ω1, ω2, ω3) attached to a Higgs field.
 
     For Θ = [[α, γ], [β, -α]] the triple is ω1 = α, ω2 = (β+γ)/2,
     ω3 = i(β-γ)/2, all over the field's denominator, so that
-    ω1² + ω2² + ω3² = α² + βγ = -det Θ.  The triple is isotropic exactly
-    when the field is null.
+    ω1² + ω2² + ω3² = α² + βγ = -det Θ.  The omega fields hold the three
+    numerators and ``den`` their one denominator.  The triple is isotropic
+    exactly when the field is null.
     """
 
-    omega1: RationalForm
-    omega2: RationalForm
-    omega3: RationalForm
+    omega1: LaurentPoly
+    omega2: LaurentPoly
+    omega3: LaurentPoly
+    den: LaurentPoly
 
     def sum_squares_numerator(self) -> LaurentPoly:
-        n1, n2, n3 = self.omega1.num, self.omega2.num, self.omega3.num
+        n1, n2, n3 = self.omega1, self.omega2, self.omega3
         return n1 * n1 + n2 * n2 + n3 * n3
 
     @property
@@ -196,6 +170,7 @@ class CousinData:
         return {"omega1": self.omega1.to_json(),
                 "omega2": self.omega2.to_json(),
                 "omega3": self.omega3.to_json(),
+                "den": self.den.to_json(),
                 "is_null": self.is_null}
 
 
@@ -210,11 +185,8 @@ def cousin_data(theta: HiggsField) -> CousinData:
     n = theta.num
     half = Fraction(1, 2)
     half_i = GaussianRational(Fraction(0), half)
-    return CousinData(
-        omega1=RationalForm(n.a, theta.den),
-        omega2=RationalForm((n.c + n.b).scale(half), theta.den),
-        omega3=RationalForm((n.c - n.b).scale(half_i), theta.den),
-    )
+    return CousinData(omega1=n.a, omega2=(n.c + n.b).scale(half),
+                      omega3=(n.c - n.b).scale(half_i), den=theta.den)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 NumericControls holds every tolerance and step a user may set, so a job
 is reproducible from one record.  Fixed thresholds that no user tunes
-(path closure, root matching, the transport's rounding floor, the
-Minkowski point check) are private constants or literals next to their
-single user.  The exact (rational) layer has no knobs.
+(path closure, the branch-point search's region slack, the transport's
+rounding floor, the Minkowski point check) are private constants or
+literals next to their single user.  The exact (rational) layer has no knobs.
 Each field must be positive and finite; NumericControls raises ValueError
 otherwise, so a NaN or a negative tolerance never reaches the integrator.
 Each field is also a flag (--su2-tol for su2_tol) of the CLI subcommand

@@ -6,8 +6,8 @@ immerses its domain into hyperbolic 3-space with mean curvature one, and
 the zero set of A' is the branch locus.
 
 Both conditions are decided symbolically.  The only numerics in this
-module is the branch-point search, which finds common zeros of the four
-entries of A' inside an annulus.
+module is the branch-point search: the common zeros of the entries of A'
+are the roots of their exact gcd, found in floats inside an annulus.
 
 Component convention, used consistently across the package: for
 A = [[a, b], [c, d]] the first section is the first column s = (a, c) and
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotSpecial, RegionContainsPole, UnknownName
-from .series import LaurentMatrix, LaurentPoly, json_float
+from .series import LaurentMatrix, LaurentPoly, json_float, poly_gcd
 
 _ONE = LaurentPoly.one()
 
@@ -142,14 +142,15 @@ def omega_quadratic(matrix: LaurentMatrix) -> LaurentPoly:
 # branch points
 
 _NEWTON_SWEEPS = 3
-_BRANCH_TOL = 1e-10
+_BRANCH_TOL = 1e-10   # slack at the region's boundary
 
 
 def laurent_roots(p: LaurentPoly) -> list[complex]:
     """The zeros of p in C, as np.roots lists them.
 
-    A nonzero root appears once per multiplicity, each copy perturbed by
-    roundoff; 0 appears once, whatever its multiplicity, when p(0) = 0.
+    A nonzero root of multiplicity k appears k times, each copy up to about
+    eps^(1/k) away, so callers pass a square-free p; 0 appears once,
+    whatever its multiplicity, when p(0) = 0.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no isolated roots")
@@ -182,10 +183,11 @@ def _newton_polish(p: LaurentPoly, z: complex) -> complex:
 
 
 def branch_points(frame: BryantFrame, region: Annulus) -> list[complex]:
-    """Common zeros of the four entries of A' inside the region.
+    """Common zeros of the four entries of A' inside the region, each once.
 
-    Zeros are located per entry by companion-matrix roots plus a Newton
-    polish, then intersected across all nonzero entries within 1e-10.
+    They are the roots of the square-free part of the monic gcd of the
+    nonzero entries, each with a Newton polish on that part, and 0 when
+    every entry vanishes there (the gcd leaves out powers of z).
     RegionContainsPole is raised when A' has a pole inside the region
     (poles of Laurent entries sit at 0 only).
     """
@@ -196,18 +198,12 @@ def branch_points(frame: BryantFrame, region: Annulus) -> list[complex]:
                          "every point of the region is a branch point")
     if region.contains(0) and any(p.pole_order() > 0 for p in nonzero):
         raise RegionContainsPole("derivative has a pole at 0 inside the region")
-
-    candidates = []
-    for z in laurent_roots(nonzero[0]):
-        z = _newton_polish(nonzero[0], z)
-        if region.contains(z, slack=_BRANCH_TOL):
-            candidates.append(z)
-
-    found: list[complex] = []
-    for z in candidates:
-        if all(abs(p(z)) <= _BRANCH_TOL for p in nonzero[1:]):
-            if not any(abs(z - w) <= _BRANCH_TOL for w in found):
-                found.append(z)
+    g = poly_gcd(*nonzero)
+    g = g // poly_gcd(g, g.derivative())
+    roots = [_newton_polish(g, z) for z in laurent_roots(g)]
+    if all(p.valuation() > 0 for p in nonzero):
+        roots.append(0j)
+    found = [z for z in roots if region.contains(z, slack=_BRANCH_TOL)]
     found.sort(key=lambda w: (abs(w), cmath.phase(w)))
     return found
 

@@ -14,8 +14,9 @@ zero polynomial is {} over 1.  The form is canonical, so == and hash
 compare values.  Ring operations are integer multiply-accumulate with one
 gcd reduction per result; a coefficient becomes a GaussianRational only
 when coeff or terms asks for it, and a double (float_coeffs, __call__)
-by one correctly rounded int/int division per part.  All values here are
-immutable; every operation returns a fresh object.
+by one correctly rounded int/int division per part.  Division with
+remainder in z (divmod, //) and the monic gcd (poly_gcd) are exact too.
+All values here are immutable; every operation returns a fresh object.
 
 Serialization: ``to_json``/``from_json`` use rationals printed as
 decimal-free strings ("3/4", "-2"), terms sorted by exponent, so that
@@ -176,7 +177,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return cls._of({0: (1, 0)})
 
     @classmethod
     def z(cls) -> "LaurentPoly":
@@ -306,6 +307,19 @@ class LaurentPoly:
             {e - 1: (re * e, im * e) for e, (re, im) in self._n.items() if e != 0},
             self._d)
 
+    def __divmod__(self, other: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
+        """(q, r) with self = q·other + r and deg r < deg other, over Q(i)."""
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        n, q, r = other.degree(), {}, self
+        while not r.is_zero and (k := r.degree()) >= n:
+            q[k - n] = c = r.coeff(k) / other.coeff(n)
+            r = r - other.shift(k - n).scale(c)
+        return LaurentPoly(q), r
+
+    def __floordiv__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return divmod(self, other)[0]
+
     # -- evaluation --------------------------------------------------------------
 
     def __call__(self, z: complex) -> complex:
@@ -404,6 +418,19 @@ class LaurentPoly:
             if not g.is_zero:
                 coeffs[e] = g
         return cls(coeffs)
+
+
+def poly_gcd(*ps: LaurentPoly) -> LaurentPoly:
+    """Monic gcd over Q(i) of the ps, each first divided by its power of z, so
+    z never divides it; zero arguments are skipped, and all zero give zero."""
+    g = LaurentPoly.zero()
+    for p in ps:
+        p = p if p.is_zero else p.shift(-p.valuation())
+        while p.degree():   # None once p is zero, 0 once a nonzero constant
+            g, p = p, divmod(g, p)[1]
+        if p.degree() == 0:
+            return LaurentPoly.one()
+    return g if g.is_zero else g.scale(GR_ONE / g.coeff(g.degree()))
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,18 @@ class TestHiggsField:
         # a z factor shared by numerator and den is not a pole
         assert HiggsField(num, den).poles == poles
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_pole_of_order_k_listed_once(self, k):
+        # np.roots on (z - 1)^k alone gives k roots up to eps^(1/k) from 1
+        g = LaurentMatrix.diagonal(ONE, -ONE)
+        assert HiggsField(g, (Z - ONE) ** k).poles == (1 + 0j,)
+
+    def test_double_and_simple_pole(self):
+        g = LaurentMatrix.diagonal(ONE, -ONE)
+        poles = HiggsField(g, (Z - ONE) ** 2 * (Z + LaurentPoly.constant(2))).poles
+        assert len(poles) == 2
+        assert abs(poles[0] - 1) <= 1e-12 and abs(poles[1] + 2) <= 1e-12
+
     def test_simple_pole_field(self):
         g = LaurentMatrix.diagonal(ONE, -ONE)
         theta = simple_pole_field([(0, g), (1, g)])
@@ -192,22 +204,22 @@ class TestKtuyDet:
 class TestCousin:
     def test_horosphere_triple(self):
         c = cousin_data(higgs_from_frame(catalog("horosphere")))
-        assert c.omega1.num.is_zero
-        assert c.omega2.num == LaurentPoly.constant(Fraction(1, 2))
-        assert c.omega3.num == LaurentPoly.constant(GaussianRational(Fraction(0), Fraction(-1, 2)))
+        assert c.omega1.is_zero
+        assert c.omega2 == LaurentPoly.constant(Fraction(1, 2))
+        assert c.omega3 == LaurentPoly.constant(GaussianRational(Fraction(0), Fraction(-1, 2)))
         assert c.sum_squares_numerator().is_zero and c.is_null
 
     def test_zero_field(self):
         c = cousin_data(ZERO_FIELD)
-        assert c.omega1.num.is_zero and c.omega2.num.is_zero and c.omega3.num.is_zero
+        assert c.omega1.is_zero and c.omega2.is_zero and c.omega3.is_zero
 
     def test_rank_one_expansion(self):
         c = cousin_data(NULL_FIELD)
         half = Fraction(1, 2)
         half_i = GaussianRational(Fraction(0), half)
-        assert c.omega1.num == Z
-        assert c.omega2.num == (ONE - Z * Z).scale(half)
-        assert c.omega3.num == (ONE + Z * Z).scale(half_i)
+        assert c.omega1 == Z
+        assert c.omega2 == (ONE - Z * Z).scale(half)
+        assert c.omega3 == (ONE + Z * Z).scale(half_i)
         assert c.sum_squares_numerator().is_zero
 
     def test_not_null_rejected(self):
@@ -217,7 +229,7 @@ class TestCousin:
     def test_json(self):
         data = cousin_data(NULL_FIELD).to_json()
         assert data["is_null"] is True
-        assert set(data) == {"omega1", "omega2", "omega3", "is_null"}
+        assert set(data) == {"omega1", "omega2", "omega3", "den", "is_null"}
 
 
 class TestPaths:

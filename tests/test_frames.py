@@ -111,6 +111,13 @@ class TestBranchPoints:
         pts = branch_points(frame, Annulus(0.0, 1.5))
         assert sorted(round(p.real, 6) for p in pts) == [-1.0, 0.0, 1.0]
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_repeated_zero_listed_once(self, k):
+        # A' = [[0, k(z-1)^(k-1)], [0, 0]]: one branch point of order k - 1
+        frame = BryantFrame(LaurentMatrix(ONE, (Z - ONE) ** k, ZERO, ONE))
+        pts = branch_points(frame, Annulus(0.0, 2.0))
+        assert len(pts) == 1 and abs(pts[0] - 1) <= 1e-12
+
 
 class TestCatalog:
     def test_names(self):

@@ -79,6 +79,11 @@ def test_all_names_resolve():
     assert not missing
 
 
+def test_all_lists_exactly_the_imports():
+    init = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    assert set(imported_names(init)) == set(bryantlab.__all__)
+
+
 def test_every_control_is_read():
     # a NumericControls field that no module reads is a knob that does nothing
     read = {node.attr for path in MODULES if path.name != "defaults.py"

@@ -8,13 +8,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bryantlab.connection import HiggsField, PathLoop, parallel_transport
 from bryantlab.errors import NotRepresentable, PoleAtZero
-from bryantlab.series import (GaussianRational, LaurentMatrix, LaurentPoly,
-                              canonical_dumps)
+from bryantlab.series import (GR_ONE, GaussianRational, LaurentMatrix,
+                              LaurentPoly, canonical_dumps, poly_gcd)
 from conftest import gaussian_rationals, laurent_matrices, laurent_polys
 
 Z = LaurentPoly.z()
@@ -94,6 +94,44 @@ class TestDerivative:
     def test_mixed(self):
         p = mono(3) + mono(-2)
         assert p.derivative() == mono(2, 3) + mono(-3, -2)
+
+
+class TestDivisionAndGcd:
+    def test_hand_examples(self):
+        # z^3 + 1 = (z + 1)(z^2 - z + 1) and z^2 = (z + 1)(z - 1) + 1
+        assert divmod(mono(3) + ONE, Z + ONE) == (mono(2) - Z + ONE, LaurentPoly.zero())
+        assert divmod(mono(2), Z - ONE) == (Z + ONE, ONE)
+        assert poly_gcd(mono(2, 3) - LaurentPoly.constant(3), (Z - ONE) ** 2) == Z - ONE
+        assert poly_gcd(mono(2) - Z, mono(3)) == ONE   # powers of z are left out
+        assert poly_gcd(LaurentPoly.zero()).is_zero
+        with pytest.raises(ZeroDivisionError):
+            divmod(Z, LaurentPoly.zero())
+
+    @given(laurent_polys(), laurent_polys())
+    @settings(max_examples=120)
+    def test_division_with_remainder(self, a, b):
+        assume(not b.is_zero)
+        q, r = divmod(a, b)
+        assert a == q * b + r
+        assert r.is_zero or r.degree() < b.degree()
+        assert a // b == q
+
+    @given(st.lists(laurent_polys(min_exp=0), min_size=1, max_size=3))
+    @settings(max_examples=120)
+    def test_gcd_is_monic_and_divides(self, ps):
+        g = poly_gcd(*ps)
+        assume(not g.is_zero)
+        assert g.coeff(g.degree()) == GR_ONE
+        assert all(divmod(p, g)[1].is_zero for p in ps)
+
+    @given(laurent_polys(), laurent_polys(), laurent_polys(min_exp=0, max_exp=2),
+           gaussian_rationals)
+    @settings(max_examples=120)
+    def test_common_factor(self, p, q, c, c0):
+        assume(not c0.is_zero)
+        c = c.shift(1) + LaurentPoly.constant(c0)   # c(0) = c0 != 0
+        monic = c.scale(GR_ONE / c.coeff(c.degree()))
+        assert poly_gcd(p * c, q * c) == poly_gcd(p, q) * monic
 
 
 class TestEval:
