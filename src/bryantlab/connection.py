@@ -381,9 +381,12 @@ _FLOOR = 2.0 ** -50   # 4 eps: the rounding floor of a step, per max(1, |Y|)
 
 
 def _shift(a: list, c: complex) -> list:
-    """Ascending coefficients of p(c + w) from those a of p(z)."""
-    return [sum(math.comb(j, k) * a[j] * c ** (j - k) for j in range(k, len(a)))
-            for k in range(len(a))]
+    """Ascending coefficients of p(c + w) from those a of p(z) (Horner's shift)."""
+    b = list(a)
+    for i in range(len(b) - 1):
+        for j in range(len(b) - 2, i - 1, -1):
+            b[j] += c * b[j + 1]
+    return b
 
 
 def _radius(n: list, d: list) -> float:
@@ -404,6 +407,12 @@ def _mul(x: tuple, y: tuple) -> tuple:
             x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
 
 
+def _inv(x: tuple) -> tuple:
+    """The inverse of a 4-tuple 2x2 matrix: its adjugate over its determinant."""
+    det = x[0] * x[3] - x[1] * x[2]
+    return (x[3] / det, -x[1] / det, -x[2] / det, x[0] / det)
+
+
 def _taylor_step(n: list, d: list, y: tuple, a: complex, b: complex,
                  ratio: float, atol: float) -> tuple:
     """Y(m + b) = Φ(b)·Φ(a)^-1·y from y = Y(m + a) by one series of Φ' = -ΘΦ,
@@ -416,29 +425,30 @@ def _taylor_step(n: list, d: list, y: tuple, a: complex, b: complex,
     nh = [[x * h ** (j + 1) / d[0] for x in nj] for j, nj in enumerate(n)]
     dh = [x * h ** (j + 1) / d[0] for j, x in enumerate(d[1:])] + [0j] * len(n)
     terms = deque([(1 + 0j, 0j, 0j, 1 + 0j)], len(n) or 1)   # the last K, newest first
+    sizes = deque([2.0], len(n) or 1)   # and the sum of each one's entries' moduli
     s0, s1, s2, s3 = r0, r1, r2, r3 = 1 + 0j, 0j, 0j, 1 + 0j   # sums at h, q·h
     for k in itertools.count(1):
         a0 = a1 = a2 = a3 = 0j
         for j, ((p, t, u, v), e, (y0, y1, y2, y3)) in enumerate(zip(nh, dh, terms)):
             e *= k - 1 - j
-            a0 += (p + e) * y0 + t * y2
-            a1 += (p + e) * y1 + t * y3
-            a2 += u * y0 + (v + e) * y2
-            a3 += u * y1 + (v + e) * y3
+            pe, ve = p + e, v + e
+            a0 += pe * y0 + t * y2
+            a1 += pe * y1 + t * y3
+            a2 += u * y0 + ve * y2
+            a3 += u * y1 + ve * y3
         a0, a1, a2, a3 = -a0 / k, -a1 / k, -a2 / k, -a3 / k
         size = abs(a0) + abs(a1) + abs(a2) + abs(a3)
         if not math.isfinite(size):
             raise ToleranceNotMet(f"Taylor term {k} is not finite")
         terms.appendleft((a0, a1, a2, a3))
+        sizes.appendleft(size)
         s0, s1, s2, s3 = s0 + a0, s1 + a1, s2 + a2, s3 + a3
         qk *= q
         r0, r1, r2, r3 = r0 + a0 * qk, r1 + a1 * qk, r2 + a2 * qk, r3 + a3 * qk
-        if size * g <= cut and (eps := g * max(sum(map(abs, x)) for x in terms)) <= cut:
+        if size * g <= cut and (eps := g * max(sizes)) <= cut:
             s, r = (s0, s1, s2, s3), (r0, r1, r2, r3)
-            fb, fa = (r, s) if flip else (s, r)   # Φ(b), Φ(a)
-            det = fa[0] * fa[3] - fa[1] * fa[2]
-            inv = (fa[3] / det, -fa[1] / det, -fa[2] / det, fa[0] / det)
-            w, z = _mul(fb, inv), _mul(inv, y)
+            inv = _inv(s if flip else r)   # Φ(a)^-1
+            w, z = _mul(r if flip else s, inv), _mul(inv, y)
             ye = _mul(w, y)
             gain = sum(map(abs, z)) * (1 + sum(map(abs, w)))
             scale = tol * max(1.0, *map(abs, ye))
@@ -469,10 +479,12 @@ def parallel_transport(theta: HiggsField, path: Path,
     # N gets >= deg(den) terms
     ents = theta.num.entries
     hi = max([p.degree() for p in ents if not p.is_zero] + [theta.den.degree() - 1])
-    n = list(zip(*(p.float_coeffs(0, hi) for p in ents)))
+    cols = [p.float_coeffs(0, hi) for p in ents]
     d = theta.den.float_coeffs(0, theta.den.degree())
     length = sum(abs(seg.velocity(0.0)) for seg in path.segments)
-    y, steps, rho = (1 + 0j, 0j, 0j, 1 + 0j), 0, math.inf
+    y, steps = (1 + 0j, 0j, 0j, 1 + 0j), 0
+    # a first chord within 2/3 of the start's pole distance passes the pole test
+    rho = 2 / 3 * min([abs(path.start - p) for p in theta.poles], default=math.inf)
     try:
         for seg in path.segments:
             speed = abs(seg.velocity(0.0))
@@ -487,7 +499,7 @@ def parallel_transport(theta: HiggsField, path: Path,
                             f"step {steps} of {dt:.1e} at t={t!r}, atol {controls.atol:.1e}")
                     t_next = min(1.0, t + dt)
                     m, e = seg.at(0.5 * (t + t_next)), seg.at(t_next)
-                    nm, dm = list(zip(*(_shift(col, m) for col in zip(*n)))), _shift(d, m)
+                    nm, dm = list(zip(*(_shift(col, m) for col in cols))), _shift(d, m)
                     rho = min([_radius(nm, dm)] + [abs(m - p) for p in theta.poles])
                     half = max(abs(c - m), abs(e - m))
                     if 0 < rho and 2 * half <= rho:
@@ -541,16 +553,16 @@ class HolonomyReport:
         }
 
 
+def _off_one(x: tuple) -> float:
+    """||X - I||_F of a 2x2 matrix stored row-major as a 4-tuple."""
+    return math.hypot(abs(x[0] - 1), abs(x[1]), abs(x[2]), abs(x[3] - 1))
+
+
 def su2_defects(u: np.ndarray) -> tuple[float, float]:
     """(||U U* - I||_F, |det U - 1|)."""
-    unitary = float(np.linalg.norm(u @ u.conj().T - np.eye(2)))
-    det = abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1.0)
-    return unitary, det
-
-
-def _inv2(u: np.ndarray) -> np.ndarray:
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    return np.array([[u[1, 1], -u[0, 1]], [-u[1, 0], u[0, 0]]]) / det
+    x = tuple(np.asarray(u, dtype=complex).ravel().tolist())
+    star = tuple(v.conjugate() for v in (x[0], x[2], x[1], x[3]))
+    return _off_one(_mul(x, star)), abs(x[0] * x[3] - x[1] * x[2] - 1.0)
 
 
 def report_from_matrices(mats: Sequence[np.ndarray],
@@ -558,17 +570,14 @@ def report_from_matrices(mats: Sequence[np.ndarray],
     """Assemble a HolonomyReport from already-transported generators."""
     mats = tuple(np.asarray(m, dtype=complex) for m in mats)
     defects = [su2_defects(u) for u in mats]
-    unitary = tuple(d[0] for d in defects)
-    det = tuple(d[1] for d in defects)
+    unitary, det = tuple(d[0] for d in defects), tuple(d[1] for d in defects)
     passes = all(u <= su2_tol for u in unitary) and all(d <= su2_tol for d in det)
-    pair_defects = []
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            c = mats[i] @ mats[j] @ _inv2(mats[i]) @ _inv2(mats[j])
-            pair_defects.append(float(np.linalg.norm(c - np.eye(2))))
+    pair_defects = tuple(   # ||U V U^-1 V^-1 - I||_F over each pair
+        _off_one(_mul(_mul(_mul(x, y), _inv(x)), _inv(y)))
+        for x, y in itertools.combinations([tuple(m.ravel().tolist()) for m in mats], 2))
     return HolonomyReport(matrices=mats, unitary_defects=unitary,
                           det_defects=det, passes=passes, tol=su2_tol,
-                          commutator_defects=tuple(pair_defects),
+                          commutator_defects=pair_defects,
                           abelian=all(d <= su2_tol for d in pair_defects))
 
 
