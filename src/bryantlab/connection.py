@@ -15,11 +15,12 @@ circle is diag(e^{2πiα}, e^{-2πiα}); this integrator is the package's
 ground truth for holonomy conventions.
 
 As stored, den·Y' = -N·Y, so the Taylor coefficients of Y, N(m + w) and
-den(m + w) at a centre m obey
+den(m + w) at a centre m (N and den shifted by synthetic division) obey
 den_0 (k+1) y_{k+1} = -Σ_j N_j y_{k-j} - Σ_{j>=1} den_j (k+1-j) y_{k+1-j}.
 A step from c to e sums that series for Φ, Φ(0) = I, at its midpoint m at
 both ends, each at most half way from m to the nearest pole and nearer where
 Θ is so large that the terms would cancel (_radius): Y(e) = Φ(e - m)·Φ(c - m)^-1·Y(c).
+A path's first chord is 2/3 of its start's pole distance, a later one ρ of the last m.
 """
 
 from __future__ import annotations
@@ -465,10 +466,11 @@ def parallel_transport(theta: HiggsField, path: Path,
 
     The path must keep distance >= pole_clearance from every pole of the
     field (PoleTooClose otherwise).  Each step sums one series at both ends,
-    each within ρ/2 of its midpoint, and holds the tails of Y at its end
-    within max(share·atol, 4·eps)·max(1, |Y|), share its fraction of the
-    path length; ToleranceNotMet is raised once the 4·eps floors would sum
-    past atol, so the tails of a path sum to <= 2·atol·max(1, |Y|).
+    each within ρ/2 of its midpoint m (the first chord is 2/3 of the start's
+    pole distance, a later one ρ of the last m, shrunk until it fits), and
+    holds the tails of Y at its end within max(share·atol, 4·eps)·max(1, |Y|),
+    share its fraction of the path length; 4·eps floors summing past atol
+    raise ToleranceNotMet, so the tails of a path sum to <= 2·atol·max(1, |Y|).
     """
     for p in theta.poles:
         d = path.min_distance(p)
@@ -483,7 +485,6 @@ def parallel_transport(theta: HiggsField, path: Path,
     d = theta.den.float_coeffs(0, theta.den.degree())
     length = sum(abs(seg.velocity(0.0)) for seg in path.segments)
     y, steps = (1 + 0j, 0j, 0j, 1 + 0j), 0
-    # a first chord within 2/3 of the start's pole distance passes the pole test
     rho = 2 / 3 * min([abs(path.start - p) for p in theta.poles], default=math.inf)
     try:
         for seg in path.segments:

@@ -6,7 +6,9 @@ test.  These checks import the harness, install and remove its span
 wrappers, and run the first job of each kind through its oracle.
 """
 
+import itertools
 import json
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -113,6 +115,93 @@ def test_two_pole_loops_take_few_series(bench, tmp_path, monkeypatch):
     for loop in loops:
         parallel_transport(workloads.two_pole_field(), PathLoop.from_json(loop))
     assert len(series) <= 90
+
+
+def _holonomy_round(workloads, tmp_path, seed):
+    """(field, loop) for each of the 14 loops of one holonomy round."""
+    workloads.build("holonomy", seed, str(tmp_path))
+
+    def load(name):
+        return json.loads((tmp_path / name).read_text())
+
+    pairs = [(HiggsField.from_json(load("two_pole.json")), PathLoop.from_json(loop))
+             for loop in load("two_pole_loops.json")["loops"]]
+    for alpha in workloads.MODEL_WEIGHTS:
+        tag = f"{alpha.numerator}_{alpha.denominator}"
+        pairs.append((HiggsField.from_json(load(f"model_{tag}.json")),
+                      PathLoop.from_json(load(f"circle_{tag}.json"))))
+    return pairs
+
+
+def test_holonomy_round_evaluates_few_midpoints(bench, tmp_path, monkeypatch):
+    # each midpoint evaluation computes one _radius; a path's first chord is
+    # 2/3 of its start's distance to the poles, so the pole test does not
+    # reject it (175 midpoints for 126 series when the first guess was the
+    # whole segment)
+    _, _, workloads = bench
+    midpoints = []
+    radius = connection._radius
+    monkeypatch.setattr(connection, "_radius",
+                        lambda *args: midpoints.append(1) or radius(*args))
+    for theta, loop in _holonomy_round(workloads, tmp_path, 7):
+        parallel_transport(theta, loop)
+    assert len(midpoints) <= 146
+
+
+def _reference_taylor_step(n, d, y, a, b, ratio, atol):
+    """_taylor_step as it was before it kept each term's size beside the
+    term and formed p + e and v + e once per j: the kernel must give the
+    same bits."""
+    h, q = (a, b) if (flip := abs(a) > abs(b)) else (b, a)
+    q, qk, g = q / h if h else 0j, 1 + 0j, ratio / (1 - ratio)
+    tol = cut = max(atol, connection._FLOOR)
+    nh = [[x * h ** (j + 1) / d[0] for x in nj] for j, nj in enumerate(n)]
+    dh = [x * h ** (j + 1) / d[0] for j, x in enumerate(d[1:])] + [0j] * len(n)
+    terms = deque([(1 + 0j, 0j, 0j, 1 + 0j)], len(n) or 1)
+    s0, s1, s2, s3 = r0, r1, r2, r3 = 1 + 0j, 0j, 0j, 1 + 0j
+    for k in itertools.count(1):
+        a0 = a1 = a2 = a3 = 0j
+        for j, ((p, t, u, v), e, (y0, y1, y2, y3)) in enumerate(zip(nh, dh, terms)):
+            e *= k - 1 - j
+            a0 += (p + e) * y0 + t * y2
+            a1 += (p + e) * y1 + t * y3
+            a2 += u * y0 + (v + e) * y2
+            a3 += u * y1 + (v + e) * y3
+        a0, a1, a2, a3 = -a0 / k, -a1 / k, -a2 / k, -a3 / k
+        size = abs(a0) + abs(a1) + abs(a2) + abs(a3)
+        terms.appendleft((a0, a1, a2, a3))
+        s0, s1, s2, s3 = s0 + a0, s1 + a1, s2 + a2, s3 + a3
+        qk *= q
+        r0, r1, r2, r3 = r0 + a0 * qk, r1 + a1 * qk, r2 + a2 * qk, r3 + a3 * qk
+        if size * g <= cut and (eps := g * max(sum(map(abs, x)) for x in terms)) <= cut:
+            s, r = (s0, s1, s2, s3), (r0, r1, r2, r3)
+            fb, fa = (r, s) if flip else (s, r)
+            det = fa[0] * fa[3] - fa[1] * fa[2]
+            inv = (fa[3] / det, -fa[1] / det, -fa[2] / det, fa[0] / det)
+            w, z = connection._mul(fb, inv), connection._mul(inv, y)
+            ye = connection._mul(w, y)
+            gain = sum(map(abs, z)) * (1 + sum(map(abs, w)))
+            scale = tol * max(1.0, *map(abs, ye))
+            if eps * gain <= scale:
+                return ye
+            cut = scale / gain
+
+
+def test_taylor_kernel_matches_the_reference_loop(bench, tmp_path, monkeypatch):
+    # every series of a seed-7 round, given the same inputs to both loops
+    _, _, workloads = bench
+    same = []
+    step = connection._taylor_step
+
+    def both(*args):
+        y = step(*args)
+        same.append(y == _reference_taylor_step(*args))
+        return y
+
+    monkeypatch.setattr(connection, "_taylor_step", both)
+    for theta, loop in _holonomy_round(workloads, tmp_path, 7):
+        parallel_transport(theta, loop)
+    assert len(same) >= 100 and all(same)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 8])

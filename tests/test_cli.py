@@ -523,6 +523,33 @@ class TestStability:
         assert code == 2 and "degree range" in err
 
 
+def _zero_denominator(data):
+    """data with its first coefficient's real part replaced by "1/0"."""
+    text = json.dumps(data)
+    i = text.index('"re": "') + len('"re": "')
+    return json.loads(text[:i] + "1/0" + text[text.index('"', i):])
+
+
+@pytest.mark.parametrize("kind", ["verify", "end", "surface", "holonomy",
+                                  "stability"])
+def test_zero_denominator_is_input_error(capsys, write_json, loop_file, kind):
+    # Fraction("1/0") raises ZeroDivisionError, which must not escape the CLI
+    frame = _zero_denominator({"matrix": SHEARED.to_json()})
+    if kind == "holonomy":
+        field = _zero_denominator(model_end_field(Fraction(1, 4)).to_json())
+        argv = [write_json("field.json", field),
+                loop_file("loops.json", [PathLoop.circle(0j, 1.0)])]
+    elif kind == "stability":
+        argv = [write_json("weights.json", {
+            "genus": 0, "points": [{"label": "p0", "weight": "1/0"}],
+            "candidates": [{"degree": 0, "matches": [False]}]})]
+    else:
+        argv = [write_json("frame.json", frame)]
+        argv = ["1/2"] + argv if kind == "end" else argv
+    code, out, err = run(capsys, kind, *argv)
+    assert code == 2 and out == "" and err.startswith("input error")
+
+
 class TestBounds:
     def test_json_report(self, capsys):
         code, data, _ = run_json(capsys, "bounds", "0", "3", "3")

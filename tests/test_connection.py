@@ -6,6 +6,7 @@ against hand arithmetic or structural identities.
 """
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,7 +21,8 @@ from bryantlab.connection import (ArcSegment, HiggsField, LineSegment, Path,
                                   PathLoop, cousin_data, det_higgs,
                                   higgs_from_frame, holonomy, ktuy_check,
                                   model_end_field, parallel_transport,
-                                  simple_pole_field, su2_defects)
+                                  report_from_matrices, simple_pole_field,
+                                  su2_defects)
 from bryantlab.defaults import DEFAULTS
 from bryantlab.errors import (NotNull, NotSpecial, PoleTooClose,
                               ToleranceNotMet)
@@ -655,3 +657,119 @@ class TestHolonomy:
         data2 = rep2.to_json()
         assert data2["abelian"] is True
         assert len(data2["commutator_defects"]) == 1
+
+
+def _numpy_defects(mats):
+    """(unitary, det, commutator) defects by the numpy formulas of the
+    report before it moved to 4-tuples."""
+    def inv(u):
+        return (np.array([[u[1, 1], -u[0, 1]], [-u[1, 0], u[0, 0]]])
+                / (u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]))
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    unitary = [float(np.linalg.norm(u @ u.conj().T - np.eye(2))) for u in mats]
+    det = [abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1.0) for u in mats]
+    pairs = [float(np.linalg.norm(u @ v @ inv(u) @ inv(v) - np.eye(2)))
+             for u, v in itertools.combinations(mats, 2)]
+    return unitary, det, pairs
+
+
+class TestReportOnTuples:
+    """report_from_matrices on 4-tuples against the numpy formulas."""
+
+    def test_defects_match_numpy(self):
+        rng = random.Random(22)
+
+        def entry():
+            return complex(rng.gauss(0, 1), rng.gauss(0, 1))
+
+        for _ in range(40):
+            mats = []
+            for _ in range(rng.randint(1, 4)):   # SL(2, C): d = (1 + bc)/a
+                a, b, c = entry(), entry(), entry()
+                mats.append(np.array([[a, b], [c, (1 + b * c) / a]]))
+            rep = report_from_matrices(mats, DEFAULTS.su2_tol)
+            ours = (rep.unitary_defects, rep.det_defects, rep.commutator_defects)
+            for got, want in zip(ours, _numpy_defects(mats)):
+                assert len(got) == len(want)
+                for x, y in zip(got, want):
+                    assert abs(x - y) <= 1e-14 * max(1.0, y)
+            assert all(isinstance(m, np.ndarray) for m in rep.matrices)
+
+    @pytest.mark.parametrize("theta, loops, tol", [
+        (ZERO_FIELD, [unit_circle(), PathLoop.circle(0j, 0.5),
+                      PathLoop.polygon([1, 1j, -1, -1j])], DEFAULTS.su2_tol),
+        (model_end_field(Fraction(1, 3)), [unit_circle()], DEFAULTS.su2_tol),
+        (model_end_field(GaussianRational(Fraction(0), Fraction(1))),
+         [unit_circle()], DEFAULTS.su2_tol),
+        (model_end_field(Fraction(1, 4)), [unit_circle()], 1e-20),
+        (model_end_field(Fraction(1, 4)),
+         [unit_circle(), PathLoop.circle(0j, 0.5)], DEFAULTS.su2_tol),
+        (two_pole_field(), [PathLoop.circle(0j, 0.5, base_angle=0.0),
+                            PathLoop.circle(1 + 0j, 0.5, base_angle=math.pi)],
+         DEFAULTS.su2_tol),
+    ], ids=["zero field", "third weight", "imaginary weight", "tight tol",
+            "two circles", "two punctures"])
+    def test_verdicts_of_the_holonomy_reports(self, theta, loops, tol):
+        rep = holonomy(theta, loops, DEFAULTS.with_(su2_tol=tol))
+        unitary, det, pairs = _numpy_defects(rep.matrices)
+        assert rep.passes == (max(unitary + det) <= tol)
+        assert rep.abelian == all(d <= tol for d in pairs)
+
+
+def _horner(a, z):
+    out = 0j
+    for x in reversed(a):
+        out = out * z + x
+    return out
+
+
+coeff_lists = st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                          allow_infinity=False),
+                       min_size=1, max_size=7)
+centres = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+
+
+class TestShift:
+    """_shift, the Taylor shift of a transport step, by synthetic division."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeff_lists, centres, centres)
+    def test_shifted_series_is_p_at_c_plus_w(self, a, c, w):
+        b = connection._shift(a, c)
+        bound = 1e-12 * sum(abs(x) * (abs(c) + abs(w)) ** j for j, x in enumerate(a))
+        assert len(b) == len(a)
+        assert abs(_horner(b, w) - _horner(a, c + w)) <= bound
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeff_lists, centres)
+    def test_shift_there_and_back(self, a, c):
+        # the bound above with |w| = 1 + |c|, which majorises the two shifts'
+        # binomial sums Σ_j |a_j| C(j, k) (2|c|)^(j-k)
+        back = connection._shift(connection._shift(a, c), -c)
+        bound = 1e-12 * sum(abs(x) * (1 + 2 * abs(c)) ** j for j, x in enumerate(a))
+        assert max(abs(x - y) for x, y in zip(back, a)) <= bound
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(complex, st.integers(-9, 9), st.integers(-9, 9)),
+                    min_size=1, max_size=7),
+           st.builds(complex, st.integers(-2, 2), st.integers(-2, 2)))
+    def test_gaussian_integers_are_exact(self, a, c):
+        # every product and sum of these Gaussian integers is exact in doubles
+        binomial = [sum(math.comb(j, k) * a[j] * c ** (j - k) for j in range(k, len(a)))
+                    for k in range(len(a))]
+        assert connection._shift(a, c) == binomial
+
+
+class TestMidpoints:
+    def test_unit_circle_rejects_no_midpoint(self, monkeypatch):
+        # the first chord is 2/3 of the start's distance to the pole at 0,
+        # so every midpoint evaluation (one _radius each) leads to a series
+        # (9 midpoints for 7 series when the first guess was the whole circle)
+        midpoints, series = [], []
+        radius, step = connection._radius, connection._taylor_step
+        monkeypatch.setattr(connection, "_radius",
+                            lambda *args: midpoints.append(1) or radius(*args))
+        monkeypatch.setattr(connection, "_taylor_step",
+                            lambda *args: series.append(1) or step(*args))
+        parallel_transport(model_end_field(Fraction(1, 3)), unit_circle())
+        assert len(midpoints) == len(series) == 7
