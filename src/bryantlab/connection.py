@@ -559,23 +559,28 @@ def _off_one(x: tuple) -> float:
     return math.hypot(abs(x[0] - 1), abs(x[1]), abs(x[2]), abs(x[3] - 1))
 
 
-def su2_defects(u: np.ndarray) -> tuple[float, float]:
-    """(||U U* - I||_F, |det U - 1|)."""
-    x = tuple(np.asarray(u, dtype=complex).ravel().tolist())
+def _defects(x: tuple) -> tuple[float, float]:
+    """su2_defects of a 2x2 matrix stored row-major as a 4-tuple."""
     star = tuple(v.conjugate() for v in (x[0], x[2], x[1], x[3]))
     return _off_one(_mul(x, star)), abs(x[0] * x[3] - x[1] * x[2] - 1.0)
+
+
+def su2_defects(u: np.ndarray) -> tuple[float, float]:
+    """(||U U* - I||_F, |det U - 1|)."""
+    return _defects(tuple(np.asarray(u, dtype=complex).ravel().tolist()))
 
 
 def report_from_matrices(mats: Sequence[np.ndarray],
                          su2_tol: float) -> HolonomyReport:
     """Assemble a HolonomyReport from already-transported generators."""
     mats = tuple(np.asarray(m, dtype=complex) for m in mats)
-    defects = [su2_defects(u) for u in mats]
+    xs = [tuple(m.ravel().tolist()) for m in mats]
+    defects = [_defects(x) for x in xs]
     unitary, det = tuple(d[0] for d in defects), tuple(d[1] for d in defects)
     passes = all(u <= su2_tol for u in unitary) and all(d <= su2_tol for d in det)
     pair_defects = tuple(   # ||U V U^-1 V^-1 - I||_F over each pair
         _off_one(_mul(_mul(_mul(x, y), _inv(x)), _inv(y)))
-        for x, y in itertools.combinations([tuple(m.ravel().tolist()) for m in mats], 2))
+        for x, y in itertools.combinations(xs, 2))
     return HolonomyReport(matrices=mats, unitary_defects=unitary,
                           det_defects=det, passes=passes, tol=su2_tol,
                           commutator_defects=pair_defects,

@@ -26,9 +26,12 @@ point over a denominator of its own.  Each stencil difference is carried
 over the product of only the |W|^{-2lo} it touches, never over the common
 multiple of all nine, and the differences, both fundamental forms, the
 Minkowski normal and the shape-operator trace are integers times known
-scale factors.  Each float is then one correctly rounded integer
-division, and one square root at the very end produces H; a float beyond
-the double range raises NotRepresentable.  Consequences worth knowing:
+scale factors.  Each float is then correctly rounded: H's ratio from
+the leading 128 bits of its factors, which bound it by two floats that
+agree unless it lies within about 2^-120 of a rounding boundary (then it
+is divided exactly), every other float by one integer division.  One
+square root at the very end produces H; a float beyond the double range
+raises NotRepresentable.  Consequences worth knowing:
 
 * there is no roundoff floor: the error in H is purely the O(step^2)
   truncation of the stencil, so halving the step reliably quarters it;
@@ -148,6 +151,35 @@ def _dyadic(x: float) -> tuple[int, int]:
     return n, d.bit_length() - 1
 
 
+def _quotient(nums, dens) -> float:
+    """prod(nums)/prod(dens), correctly rounded: a factor x of more than
+    128 bits lies in [t, t + 1]·2^e, t its leading bits, and products of
+    those bounds give rounded floats lo <= quotient <= hi, whose common
+    value is the quotient's as rounding is monotonic; else the exact
+    int/int division runs, raising OverflowError beyond the double range."""
+    neg, e, bounds = False, 0, []
+    for xs, sign in ((nums, 1), (dens, -1)):
+        lo = hi = 1
+        for x in xs:
+            if x < 0:
+                neg, x = not neg, -x
+            if (n := x.bit_length() - 128) > 0:
+                x, e = x >> n, e + sign * n
+                lo, hi = lo * x, hi * (x + 1)
+            else:
+                lo, hi = lo * x, hi * x
+        bounds += lo, hi
+    nlo, nhi, dlo, dhi = bounds
+    en, ed = max(e, 0), max(-e, 0)
+    try:
+        lo, hi = (nlo << en) / (dhi << ed), (nhi << en) / (dlo << ed)
+        if lo == hi:
+            return -lo if neg else lo
+    except OverflowError:   # a bound beyond the double range
+        pass
+    return math.prod(nums) / math.prod(dens)
+
+
 def _horner_table(frame: BryantFrame, k: int):
     """Gaussian-integer Horner coefficients of the frame at scale 2^-k.
 
@@ -171,39 +203,20 @@ def _horner_table(frame: BryantFrame, k: int):
     return lo, hi, den, table
 
 
-def _embed_numerator(table, re_w: int, im_w: int) -> Vec4:
-    """Minkowski coordinates of A·A* at z = W/2^k, times D0·|W|^{-2lo}.
-
-    D0 = 2·L²·2^{2k·hi}; the factor |W|^{-2lo} is the point's own, so the
-    numerators of two points are over different denominators when lo < 0.
-    The four entries run Horner's rule on W in one loop.
-    """
-    rows = zip(*table)
-    (ar, ai), (br, bi), (cr, ci), (dr, di) = next(rows)
-    for (a0, a1), (b0, b1), (c0, c1), (d0, d1) in rows:
-        ar, ai = ar * re_w - ai * im_w + a0, ar * im_w + ai * re_w + a1
-        br, bi = br * re_w - bi * im_w + b0, br * im_w + bi * re_w + b1
-        cr, ci = cr * re_w - ci * im_w + c0, cr * im_w + ci * re_w + c1
-        dr, di = dr * re_w - di * im_w + d0, dr * im_w + di * re_w + d1
-    f00 = ar * ar + ai * ai + br * br + bi * bi
-    f11 = cr * cr + ci * ci + dr * dr + di * di
-    f01_re = ar * cr + ai * ci + br * dr + bi * di
-    f01_im = ai * cr - ar * ci + bi * dr - br * di
-    return (f00 + f11, 2 * f01_re, 2 * f01_im, f00 - f11)
-
-
 def _embeddings(frame: BryantFrame, z: complex, step: float = 0.0,
                 offsets=((0, 0),), tables=None):
     """Exact embeddings at the points z + step·(du + i·dv), one per offset.
 
     Returns (k, h, d0, ys, gs): the step is h/2^k and the embedding at the
-    j-th point is ys[j]/(d0·gs[j]), with h and d0 positive ints, gs[j] =
-    |W_j|^{-2lo} and ys[j] an integer 4-vector.  The sample point and the
-    step are dyadic, hence so are the points: W_j/2^k with W_j = u + du·h
-    + i(v + dv·h) in ints.  Each point keeps its own gs[j]; for a
-    polynomial frame (lo = 0) every gs[j] is 1.  gs[j] is 0 exactly where
-    the point is 0 and the frame has a pole there.  tables, a dict from k
-    to _horner_table(frame, k), lets calls on one frame share the tables.
+    j-th point is ys[j]/(d0·gs[j]), with h and d0 = 2·L²·2^{2k·hi}
+    positive ints, gs[j] = |W_j|^{-2lo} and ys[j] the integer Minkowski
+    coordinates of A·A*.  The sample point and the step are dyadic, hence
+    so are the points: W_j/2^k with W_j = u + du·h + i(v + dv·h) in ints,
+    and one loop runs Horner's rule on each W_j over the table's columns.
+    Each point keeps its own gs[j]; for a polynomial frame (lo = 0) every
+    gs[j] is 1, and gs[j] is 0 exactly where the point is 0 and the frame
+    has a pole there.  tables, a dict from k to _horner_table(frame, k)
+    and its columns, lets calls on one frame share them.
     """
     if not cmath.isfinite(z):
         raise ValueError(f"sample point must be finite, got {z!r}")
@@ -212,11 +225,23 @@ def _embeddings(frame: BryantFrame, z: complex, step: float = 0.0,
     u, v, h = u << (k - eu), v << (k - ev), h << (k - eh)
     tables = {} if tables is None else tables
     if k not in tables:
-        tables[k] = _horner_table(frame, k)
-    lo, hi, den, table = tables[k]
-    points = [(u + du * h, v + dv * h) for du, dv in offsets]
-    ys = [_embed_numerator(table, *w) for w in points]
-    gs = [(re * re + im * im) ** -lo for re, im in points]
+        lo, hi, den, table = _horner_table(frame, k)
+        tables[k] = lo, hi, den, [sum(col, ()) for col in zip(*table)]
+    lo, hi, den, (first, *rest) = tables[k]
+    ys, gs = [], []
+    for du, dv in offsets:
+        x, y = u + du * h, v + dv * h
+        ar, ai, br, bi, cr, ci, dr, di = first
+        for a0, a1, b0, b1, c0, c1, e0, e1 in rest:
+            ar, ai = ar * x - ai * y + a0, ar * y + ai * x + a1
+            br, bi = br * x - bi * y + b0, br * y + bi * x + b1
+            cr, ci = cr * x - ci * y + c0, cr * y + ci * x + c1
+            dr, di = dr * x - di * y + e0, dr * y + di * x + e1
+        f00 = ar * ar + ai * ai + br * br + bi * bi
+        f11 = cr * cr + ci * ci + dr * dr + di * di
+        ys.append((f00 + f11, 2 * (ar * cr + ai * ci + br * dr + bi * di),
+                   2 * (ai * cr - ar * ci + bi * dr - br * di), f00 - f11))
+        gs.append((x * x + y * y) ** -lo if lo else 1)
     return k, h, (2 * den * den) << (2 * k * hi), ys, gs
 
 
@@ -274,36 +299,45 @@ def _curvature(z: complex, k: int, h: int, d0: int, ys, gs) -> CurvatureSample:
     #   f_uv = fuv·2^{2k}/(4h²·d0·d_uv).
     # The normal is Minkowski-orthogonal to f, so II never needs the
     # multiple of f in f_uu and f_vv.
-    d_u, d_v = gpu * gmu, gpv * gmv
-    d_uv = gpp * gpm * gmp * gmm
-    pu, mu = [a * gmu for a in ypu], [a * gpu for a in ymu]
-    pv, mv = [a * gmv for a in ypv], [a * gpv for a in ymv]
-    fu = tuple(a - b for a, b in zip(pu, mu))
-    fv = tuple(a - b for a, b in zip(pv, mv))
-    fuu = tuple(a + b for a, b in zip(pu, mu))
-    fvv = tuple(a + b for a, b in zip(pv, mv))
     gp, gm = gpp * gpm, gmp * gmm
-    fuv = tuple((a * gpm - b * gpp) * gm - (c * gmm - e * gmp) * gp
-                for a, b, c, e in zip(ypp, ypm, ymp, ymm))
+    d_u, d_v, d_uv = gpu * gmu, gpv * gmv, gp * gm
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = ypu, ymu
+    a0, a1, a2, a3 = a0 * gmu, a1 * gmu, a2 * gmu, a3 * gmu
+    b0, b1, b2, b3 = b0 * gpu, b1 * gpu, b2 * gpu, b3 * gpu
+    u0, u1, u2, u3 = a0 - b0, a1 - b1, a2 - b2, a3 - b3          # fu
+    uu0, uu1, uu2, uu3 = a0 + b0, a1 + b1, a2 + b2, a3 + b3      # fuu
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = ypv, ymv
+    a0, a1, a2, a3 = a0 * gmv, a1 * gmv, a2 * gmv, a3 * gmv
+    b0, b1, b2, b3 = b0 * gpv, b1 * gpv, b2 * gpv, b3 * gpv
+    v0, v1, v2, v3 = a0 - b0, a1 - b1, a2 - b2, a3 - b3          # fv
+    vv0, vv1, vv2, vv3 = a0 + b0, a1 + b1, a2 + b2, a3 + b3      # fvv
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (e0, e1, e2, e3) = ypp, ypm, ymp, ymm
+    w0 = (a0 * gpm - b0 * gpp) * gm - (c0 * gmm - e0 * gmp) * gp   # fuv
+    w1 = (a1 * gpm - b1 * gpp) * gm - (c1 * gmm - e1 * gmp) * gp
+    w2 = (a2 * gpm - b2 * gpp) * gm - (c2 * gmm - e2 * gmp) * gp
+    w3 = (a3 * gpm - b3 * gpp) * gm - (c3 * gmm - e3 * gmp) * gp
 
     # first fundamental form: minus the Minkowski restriction (tangent
     # vectors to the hyperboloid are timelike-negative in this signature)
-    i00, i01, i11 = -_mink(fu, fu), -_mink(fu, fv), -_mink(fv, fv)
+    i00 = u1 * u1 + u2 * u2 + u3 * u3 - u0 * u0
+    i01 = u1 * v1 + u2 * v2 + u3 * v3 - u0 * v0
+    i11 = v1 * v1 + v2 * v2 + v3 * v3 - v0 * v0
     det_i = i00 * i11 - i01 * i01
-    gram = i00 * i11
-    if det_i <= 0 or det_i * 10 ** 18 < gram:
+    if det_i <= 0 or det_i * 10 ** 18 < i00 * i11:
         raise DegenerateMetric(f"first fundamental form singular at {z!r}")
 
     # the direction of the normal from numerators alone: the dropped
     # denominators are positive, and the scale they carry returns below
-    m = _normal_direction(y00, fu, fv)
-    q = -_mink(m, m)
+    m0, m1, m2, m3 = _normal_direction(y00, (u0, u1, u2, u3), (v0, v1, v2, v3))
+    q = m1 * m1 + m2 * m2 + m3 * m3 - m0 * m0
     if q <= 0:
         raise DegenerateMetric(f"no spacelike normal at {z!r}")
 
     # II with the unnormalized normal; the sqrt(q) normalization is folded
     # into the final float so everything stays exact until then
-    j00, j01, j11 = (-_mink(fuu, m), -_mink(fuv, m), -_mink(fvv, m))
+    j00 = uu1 * m1 + uu2 * m2 + uu3 * m3 - uu0 * m0
+    j01 = w1 * m1 + w2 * m2 + w3 * m3 - w0 * m0
+    j11 = vv1 * m1 + vv2 * m2 + vv3 * m3 - vv0 * m0
     t_num = (4 * d_uv * (d_u * i11 * j00 + d_v * i00 * j11)
              - 2 * d_u * d_v * i01 * j01)
 
@@ -313,12 +347,13 @@ def _curvature(z: complex, k: int, h: int, d0: int, ys, gs) -> CurvatureSample:
     # q·2^{4k}/(s·d0·n)², and II is 4·j00·2^{4k}/(s²·n·d_u),
     # j01·2^{4k}/(s²·n·d_uv) and 4·j11·2^{4k}/(s²·n·d_v).  In
     # H = t/(2·det I·sqrt q) the scales cancel to d0/d_uv.  Each float is
-    # one int/int true division, which is correctly rounded or raises
-    # OverflowError.
+    # correctly rounded (_quotient for H's ratio, int/int true division
+    # for the rest) or raises OverflowError.
     s = (2 * h * d0) ** 2
     sn = s * s * g00 * d_u * d_v
     try:
-        ratio = (t_num * t_num * d0 * d0) / (4 * det_i * det_i * q * d_uv * d_uv)
+        ratio = _quotient((t_num, t_num, d0, d0),
+                          (4, det_i, det_i, q, d_uv, d_uv))
         sq2 = (q << 4 * k) / (sn * d0 * d0 * g00 * d_u * d_v)
         first01 = (i01 << 2 * k) / (s * d_u * d_v)
         first = np.array([[(i00 << 2 * k) / (s * d_u * d_u), first01],

@@ -26,6 +26,7 @@ from bryantlab.errors import DegenerateMetric, NotRepresentable, PoleAtZero
 from bryantlab.frames import CATALOG_NAMES, Annulus, BryantFrame, catalog
 from bryantlab.hyperbolic import (CurvatureSample, GridSpec, MinkowskiPoint,
                                   _horner_table, _mink, _normal_direction,
+                                  _quotient,
                                   hyperbolic_distance, immerse, mean_curvature,
                                   sample_mesh)
 from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
@@ -156,11 +157,24 @@ _ANNULUS_POINTS = (cmath.rect(0.45, 0.3), cmath.rect(0.9, 2.2),
 _LAURENT_STEPS = (1e-3, 3.3e-6, 2.0 ** -9)
 
 
+def _non_umbilic(m, n):
+    """[[x·z^m, y·z^n], [z^-n, z^-m]] with x = n²/(n² - m²), y = x - 1.
+
+    det A = x - y = 1 and det A' = (y·n² - x·m²)/z² = 0, so it is a Bryant
+    frame; unlike the catalog and the seeded unipotent products, its
+    second fundamental form is far from its first."""
+    x = Fraction(n * n, n * n - m * m)
+    return BryantFrame(LaurentMatrix(
+        LaurentPoly({m: x}), LaurentPoly({n: x - 1}),
+        LaurentPoly.monomial(-n), LaurentPoly.monomial(-m)))
+
+
 def _curvature_corpus():
     """(label, frame, z, step): catalog and seeded frames of degree 3..9 at
     radii 1 and 50, a Laurent frame with exponents -3..3, a stencil that
-    reaches that frame's pole, the cusp's branch point, and seeded frames
-    with a pole of order 1, 2, 3 or 5 at 0 around the annulus."""
+    reaches that frame's pole, the cusp's branch point, seeded frames with
+    a pole of order 1, 2, 3 or 5 at 0 around the annulus, and non-umbilic
+    frames (II far from I) around the annulus."""
     rng = random.Random(2024)
     frames = [(name, catalog(name)) for name in CATALOG_NAMES]
     frames += [(f"degree {d}", _seeded_bryant(rng, 0, d)) for d in range(3, 10)]
@@ -178,6 +192,11 @@ def _curvature_corpus():
         for z in _ANNULUS_POINTS:
             for step in _LAURENT_STEPS:
                 yield f"laurent from z^{lo}", frame, z, step
+    for m, n in ((1, 2), (1, 3), (-1, 2)):
+        frame = _non_umbilic(m, n)
+        for z in _ANNULUS_POINTS:
+            for step in _LAURENT_STEPS:
+                yield f"non-umbilic m={m} n={n}", frame, z, step
 
 
 def _point(*coords):
@@ -480,6 +499,92 @@ class TestMeanCurvature:
         assert s.first_form.shape == (2, 2) and s.second_form.shape == (2, 2)
         # first form positive definite away from branch points
         assert np.all(np.linalg.eigvalsh(s.first_form) > 0)
+
+
+def _factors(min_bits, max_bits):
+    """Ints of min_bits..max_bits bits, either sign."""
+    return st.builds(lambda sign, x: sign * x, st.sampled_from((-1, 1)),
+                     st.integers(min_bits, max_bits).flatmap(
+                         lambda b: st.integers(1 << (b - 1), (1 << b) - 1)))
+
+
+def _divided(fn, nums, dens):
+    """fn(nums, dens) as bits, or OverflowError."""
+    try:
+        return fn(nums, dens).hex()
+    except OverflowError:
+        return OverflowError
+
+
+def _exact_quotient(nums, dens):
+    return math.prod(nums) / math.prod(dens)
+
+
+# odd 200- and 300-bit factors, so that truncation to 128 bits is inexact
+_A, _B = (1 << 199) + 0x9E3779B97F4A7C15, (1 << 299) + 0xC2B2AE3D27D4EB4F
+
+
+class TestQuotient:
+    """H's ratio from leading bits against the exact int/int division."""
+
+    @pytest.fixture
+    def exact_branch(self, monkeypatch):
+        """The factor lists of each math.prod call: the exact branch's."""
+        calls, prod = [], math.prod
+        monkeypatch.setattr(math, "prod", lambda xs: calls.append(xs) or prod(xs))
+        return calls
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_exact_division(self, data):
+        nums = data.draw(st.lists(_factors(1, 4000), min_size=1, max_size=4))
+        dens = data.draw(st.lists(_factors(1, 4000), min_size=1, max_size=6))
+        # most of the time, one more factor puts the quotient anywhere from
+        # below the subnormals to past the double range
+        gap = (sum(x.bit_length() for x in nums) - sum(x.bit_length() for x in dens)
+               - data.draw(st.integers(-1100, 1050)))
+        if 0 < abs(gap) <= 4000 and data.draw(st.booleans()):
+            (dens if gap > 0 else nums).append(data.draw(_factors(abs(gap), abs(gap))))
+        assert _divided(_quotient, nums, dens) == _divided(_exact_quotient, nums, dens)
+
+    @pytest.mark.parametrize("nums, dens, want", [
+        # exact midpoints 1 + 2^-53 and 1 + 3·2^-53: ties to even
+        ((_A * (2 ** 53 + 1), _B), (_B << 53, _A), 1.0),
+        ((_A * (2 ** 53 + 3), -_B), (_B << 53, -_A), 1 + 2.0 ** -51),
+        # (1 + 2^-53)(1 ± 2^-400): 2^-400 above and below that midpoint
+        ((_A * (2 ** 53 + 1), _B * (2 ** 400 + 1)), (_A, _B << 453), 1 + 2.0 ** -52),
+        ((_A * (2 ** 53 + 1), _B * (2 ** 400 - 1)), (_A, _B << 453), 1.0),
+        # the subnormal midpoint 3·2^-1075 rounds to the even 2^-1073
+        ((3 * _A,), (_A << 1075,), 2.0 ** -1073),
+    ], ids=["midpoint down", "midpoint up", "above a midpoint",
+            "below a midpoint", "subnormal midpoint"])
+    def test_bounds_that_straddle_a_midpoint_divide_exactly(self, nums, dens, want,
+                                                            exact_branch):
+        # the leading bits do not decide, so the exact division runs
+        assert _quotient(nums, dens) == want
+        assert exact_branch == [nums, dens]
+        assert _exact_quotient(nums, dens) == want
+
+    def test_leading_bits_decide_off_the_midpoints(self, exact_branch):
+        # 1 + 2^-53 + 2^-100 is near the same midpoint, yet far enough
+        nums, dens = (_A * (2 ** 100 + 2 ** 47 + 1), _B), (_B << 100, _A)
+        assert _quotient(nums, dens) == 1 + 2.0 ** -52
+        assert exact_branch == []
+
+    def test_past_the_double_range_raises(self, exact_branch):
+        nums, dens = (_A << 1100, _B), (_B, _A)
+        with pytest.raises(OverflowError):
+            _quotient(nums, dens)
+        assert exact_branch == [nums, dens]
+        with pytest.raises(OverflowError):
+            _exact_quotient(nums, dens)
+
+    def test_signs_and_zero(self):
+        for nums, dens in [((-_A, _B), (_B,)), ((_A, -_B), (-_A, _B)),
+                           ((0, _A), (-_B,)), ((-1,), (_A << 1200,))]:
+            assert _quotient(nums, dens).hex() == _exact_quotient(nums, dens).hex()
+        with pytest.raises(ZeroDivisionError):
+            _quotient((_A,), (_B, 0))
 
 
 class TestMesh:
