@@ -180,27 +180,36 @@ def _enumerated_candidates(lo: int, hi: int, n_points: int):
     return out
 
 
-def cmd_stability(args) -> int:
-    def parse(data):
-        pd = parabolic.ParabolicData(
-            genus=int(data["genus"]),
-            points=tuple(parabolic.MarkedPoint(p["label"], Fraction(p["weight"]))
-                         for p in data["points"]))
-        if args.enumerate_range is not None:
-            return pd, _enumerated_candidates(*args.enumerate_range, pd.point_count)
-        return pd, [parabolic.SubbundleCandidate(
-            degree=int(c["degree"]), matches=tuple(bool(m) for m in c["matches"]),
-            label=str(c.get("label", "")))
-            for c in data["candidates"]]
+def _exact(x, kind):
+    """kind(x) for a JSON value that is exact: a float or a bool is not."""
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"expected an exact number, got {x!r}")
+    return kind(x)
 
-    pd, candidates = _load(args.data, "stability", parse)
-    report = parabolic.stability_verdict(pd, candidates)
+
+def cmd_stability(args) -> int:
+    def verdict(data):   # in _load: a match list that misses a marked point is bad input
+        pd = parabolic.ParabolicData(
+            genus=_exact(data["genus"], int),
+            points=tuple(parabolic.MarkedPoint(p["label"], _exact(p["weight"], Fraction))
+                         for p in data["points"]))
+        candidates = (_enumerated_candidates(*args.enumerate_range, pd.point_count)
+                      if args.enumerate_range is not None else
+                      [parabolic.SubbundleCandidate(
+                          _exact(c["degree"], int), tuple(bool(m) for m in c["matches"]),
+                          str(c.get("label", ""))) for c in data["candidates"]])
+        return parabolic.stability_verdict(pd, candidates)
+
+    report = _load(args.data, "stability", verdict)
     _emit(canonical_dumps(report.to_json()), args.out)
     return EXIT_PASS if report.stable else EXIT_FAIL
 
 
 def cmd_bounds(args) -> int:
-    report = parabolic.existence_bounds(args.genus, args.degree, args.points)
+    try:
+        report = parabolic.existence_bounds(args.genus, args.degree, args.points)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if args.format == "csv":
         _emit(parabolic.bounds_csv([report]), args.out)
     else:

@@ -20,9 +20,12 @@ All values here are immutable; every operation returns a fresh object.
 
 Serialization: ``to_json``/``from_json`` use rationals printed as
 decimal-free strings ("3/4", "-2"), terms sorted by exponent, so that
-parse -> serialize is byte identical on canonical input.  On input an
-exponent must be a JSON integer and a coefficient a string or a JSON
-integer; a float or a bool is rejected, since neither is exact input.
+parse -> serialize is byte identical on canonical input.  Both work on
+the integer form: one gcd per printed part, and ints read straight from
+ASCII "-?digits(/digits)"; any other coefficient string goes to Fraction,
+so input is accepted or rejected exactly as Fraction(s) does.  An exponent
+must be a JSON integer and a coefficient a string or a JSON integer; a
+float or a bool is rejected, since neither is exact input.
 Float fields of the numeric layer (radii, points) take only JSON numbers
 (json_float, json_point): a bool or a numeric string is rejected too.
 """
@@ -397,27 +400,43 @@ class LaurentPoly:
     # -- serialization ----------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"exp": e, "re": str(v.re), "im": str(v.im)}
-                for e, v in self.terms()
-            ]
-        }
+        d = self._d
+        return {"terms": [{"exp": e, "re": _rational_str(re, d), "im": _rational_str(im, d)}
+                          for e, (re, im) in sorted(self._n.items())]}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "LaurentPoly":
-        coeffs: dict[int, GaussianRational] = {}
+        parts: dict[int, tuple[int, int, int, int]] = {}
         for term in data["terms"]:
             e, re, im = term["exp"], term["re"], term["im"]
             if type(e) is not int or not {type(re), type(im)} <= {str, int}:
                 raise ValueError("an exponent must be an integer and a coefficient "
                                  f"a string or an integer, got {term!r}")
-            g = GaussianRational(Fraction(re), Fraction(im))
-            if e in coeffs:
+            (a, b), (c, q) = _read_rational(re), _read_rational(im)
+            if e in parts:
                 raise ValueError(f"duplicate exponent {e} in serialized polynomial")
-            if not g.is_zero:
-                coeffs[e] = g
-        return cls(coeffs)
+            if a or c:
+                parts[e] = (a, b, c, q)
+        d = lcm(*chain.from_iterable((b, q) for _, b, _, q in parts.values()))
+        return cls._of({e: (a * (d // b), c * (d // q)) for e, (a, b, c, q) in parts.items()}, d)
+
+
+def _read_rational(x: str | int) -> tuple[int, int]:
+    """(n, d > 0) with n/d = Fraction(x); only ASCII "-?digits(/digits)" skips Fraction."""
+    if type(x) is int:
+        return x, 1
+    num, slash, den = x.partition("/")
+    if x.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+        if d := int(den or 1):
+            return int(num), d
+    f = Fraction(x)   # raises on "n/0" and on what it does not read
+    return f.numerator, f.denominator
+
+
+def _rational_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def poly_gcd(*ps: LaurentPoly) -> LaurentPoly:
@@ -505,20 +524,12 @@ class LaurentMatrix:
         )
 
     def to_json(self) -> list:
-        return [
-            [self.a.to_json(), self.b.to_json()],
-            [self.c.to_json(), self.d.to_json()],
-        ]
+        return [[self.a.to_json(), self.b.to_json()], [self.c.to_json(), self.d.to_json()]]
 
     @classmethod
     def from_json(cls, data) -> "LaurentMatrix":
         (a, b), (c, d) = data
-        return cls(
-            LaurentPoly.from_json(a),
-            LaurentPoly.from_json(b),
-            LaurentPoly.from_json(c),
-            LaurentPoly.from_json(d),
-        )
+        return cls(*map(LaurentPoly.from_json, (a, b, c, d)))
 
 
 def json_float(x) -> float:

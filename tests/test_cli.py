@@ -522,6 +522,25 @@ class TestStability:
         code, _, err = run(capsys, "stability", path, "--enumerate", "2", "1")
         assert code == 2 and "degree range" in err
 
+    def test_matches_not_covering_points(self, capsys, write_json):
+        path = write_json("short.json", self.stability_payload(0, [True, False]))
+        code, out, err = run(capsys, "stability", path)
+        assert code == 2 and out == ""
+        assert err.startswith("input error") and path in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("genus", 1.7), ("genus", True), ("genus", 0.0), ("degree", True),
+        ("degree", 0.5), ("weight", 0.5), ("weight", True),
+    ])
+    def test_inexact_numbers_rejected(self, capsys, write_json, key, value):
+        payload = self.stability_payload(0, [False])
+        target = {"genus": payload, "degree": payload["candidates"][0],
+                  "weight": payload["points"][0]}[key]
+        target[key] = value
+        path = write_json("inexact.json", payload)
+        code, out, err = run(capsys, "stability", path)
+        assert code == 2 and out == "" and "stability file" in err
+
 
 def _zero_denominator(data):
     """data with its first coefficient's real part replaced by "1/0"."""
@@ -563,6 +582,12 @@ class TestBounds:
         header, row = out.strip().split("\n")
         assert header.split(",")[0] == "genus"
         assert row.split(",")[-1] == "False"
+
+    @pytest.mark.parametrize("argv", [("-1", "3", "3"), ("0", "3", "-2")])
+    def test_negative_counts_are_input_errors(self, capsys, argv):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("input error") and ">= 0" in err
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "bounds.json"

@@ -2,15 +2,19 @@
 
 TestAgainstFractions checks the integer representation (numerators over
 one denominator) against a per-coefficient Fraction reference kept here.
+TestSerialization checks the integer-form reader against Fraction(s) and
+the writer against that reference's printer.
 """
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bryantlab import cli
 from bryantlab.connection import HiggsField, PathLoop, parallel_transport
 from bryantlab.errors import NotRepresentable, PoleAtZero
 from bryantlab.series import (GR_ONE, GaussianRational, LaurentMatrix,
@@ -419,6 +423,25 @@ class TestMatrix:
         assert m.trace().is_zero
 
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# canonical coefficients, then the same decorated with what only Fraction(s)
+# reads or rejects: signs, spaces, underscores, decimals, exponents and
+# non-ASCII digits and whitespace
+_digits = st.text("0123456789", min_size=1, max_size=5)
+_signs = st.sampled_from(["", "-", "+"])
+_spaces = st.sampled_from(["", "", " ", "\t", "\u00a0", "\u2003"])
+coefficient_strings = st.one_of(
+    st.builds("{}{}".format, st.sampled_from(["", "-"]), _digits),
+    st.builds("{}{}/{}".format, st.sampled_from(["", "-"]), _digits, _digits),
+    st.builds("{}{}{}{}/{}{}{}{}".format, _spaces, _signs, _digits, _spaces,
+              _spaces, _signs, _digits, _spaces),
+    st.lists(st.sampled_from(["0", "1", "7", "12", "-", "+", "/", "_", ".", "e",
+                              "E", " ", "\t", "\u00a0", "\u2003", "٣", "３"]),
+             max_size=8).map("".join),
+)
+
+
 class TestSerialization:
     def test_poly_round_trip(self):
         p = mono(-2, GaussianRational(Fraction(1, 3), Fraction(-2, 7))) + Z
@@ -460,3 +483,55 @@ class TestSerialization:
     @given(laurent_polys())
     def test_round_trip_property(self, p):
         assert LaurentPoly.from_json(json.loads(json.dumps(p.to_json()))) == p
+
+    @staticmethod
+    def reads_as_fraction(s):
+        """from_json reads s as Fraction(s) does, or raises the same class."""
+        def read():
+            p = LaurentPoly.from_json({"terms": [{"exp": 0, "re": s, "im": s},
+                                                 {"exp": 1, "re": "1/6", "im": "0"}]})
+            return p.coeff(0)
+        try:
+            want = Fraction(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(Exception) as got:
+                read()
+            assert type(got.value) is type(exc)
+        else:
+            assert read() == GaussianRational(want, want)
+
+    @given(coefficient_strings)
+    @settings(max_examples=300)
+    def test_reader_matches_fraction(self, s):
+        self.reads_as_fraction(s)
+
+    @pytest.mark.parametrize("s", [
+        "3/4", "-12", "007/010", "-0", " 3", "3 ", "+3", "1_0", "1.5", "1e3",
+        "٣/4", "3 /4", "3/ 4", "3/-4", "3/+4", "--3", "3/0", "-3/000", "", "-",
+        "3/", "\u00a03", "３", "1" * 5000])
+    def test_reader_hand_cases(self, s):
+        self.reads_as_fraction(s)
+
+    @given(laurent_polys())
+    def test_writer_matches_fraction_printer(self, p):
+        assert canonical_dumps(p.to_json()) == canonical_dumps(_r_json(dict(p.terms())))
+
+    def test_loading_bench_frames_makes_no_fraction(self, monkeypatch, tmp_path):
+        monkeypatch.syspath_prepend(str(BENCH))
+        import workloads
+        workloads.build("exact", 7, str(tmp_path))
+        paths = sorted(tmp_path.glob("frame_*.json"))
+        assert len(paths) == 6
+        made = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kw):
+            made.append(args)
+            return new(cls, *args, **kw)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        matrices = [cli._load_matrix(str(path))[0] for path in paths]
+        monkeypatch.undo()
+        assert made == []
+        assert [m.to_json() for m in matrices] == [
+            json.loads(path.read_text())["matrix"] for path in paths]
