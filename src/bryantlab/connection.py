@@ -213,12 +213,12 @@ class LineSegment:
         return LineSegment(self.end, self.start)
 
     def min_distance(self, w: complex) -> float:
-        d = self.end - self.start
-        if d == 0:
-            return abs(self.start - w)
-        t = ((w - self.start) * d.conjugate()).real / abs(d) ** 2
-        t = min(1.0, max(0.0, t))
-        return abs(self.start + t * d - w)
+        a, b = self.start - w, self.end - w
+        if not 0 < -(a * (b - a).conjugate()).real < abs(b - a) ** 2:
+            return min(abs(a), abs(b))
+        # the foot is inside: |a × b| / |b - a|, a × b summed exactly (it cancels near a far pole)
+        (x0, y0), (x1, y1), (u, v) = [map(Fraction, (z.real, z.imag)) for z in (self.start, self.end, w)]
+        return abs(float((x0 - u) * (y1 - v) - (y0 - v) * (x1 - u))) / abs(b - a)
 
     def to_json(self) -> dict:
         return {"kind": "line",

@@ -242,6 +242,25 @@ class TestPaths:
         assert seg.reverse().at(0.0) == 2 + 2j
         assert abs(seg.min_distance(2j) - math.sqrt(2)) < 1e-12
 
+    @pytest.mark.parametrize("w", [0j, 3 - 4j])
+    def test_line_distance_is_exact_far_from_the_ends(self, w):
+        # a line 10 long passing 1e-3 from w: start + t·d - w loses 1e-12 of
+        # the distance to cancellation, the exact a × b keeps it to 2 ulp
+        foot, direction = 1e-3 * cmath.exp(0.5j), 1j * cmath.exp(0.5j)
+        seg = LineSegment(w + foot - 10 * direction, w + foot + 10 ** 0.75 * direction)
+        (x0, y0), (x1, y1), (u, v) = [map(Fraction, (z.real, z.imag))
+                                      for z in (seg.start, seg.end, w)]
+        cross = abs((x0 - u) * (y1 - v) - (y0 - v) * (x1 - u))
+        exact = float(cross) / math.hypot(x1 - x0, y1 - y0)
+        assert abs(seg.min_distance(w) - exact) <= 4 * math.ulp(exact)
+        assert seg.reverse().min_distance(w) == seg.min_distance(w)
+
+    def test_path_at_the_clearance_far_from_its_ends_transports(self):
+        # the true distance is 1e-3·(1 - 4.5e-13), inside the 1e-12 allowance
+        foot, direction = 1e-3 * cmath.exp(0.5j), 1j * cmath.exp(0.5j)
+        path = Path.polyline([foot - 10 * direction, foot + 10 ** 0.75 * direction])
+        parallel_transport(model_end_field(Fraction(1, 2)), path)
+
     def test_arc_basics(self):
         arc = ArcSegment(0j, 1.0, 0.0, math.pi)
         assert abs(arc.at(1.0) + 1) < 1e-12
