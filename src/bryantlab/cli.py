@@ -188,6 +188,10 @@ def _exact(x, kind):
 
 
 def cmd_stability(args) -> int:
+    def flag(m):   # a match is a JSON bool: "false" or 0 in its place is bad input
+        if type(m) is not bool:
+            raise ValueError(f"a match must be true or false, got {m!r}")
+        return m
     def verdict(data):   # in _load: a match list that misses a marked point is bad input
         pd = parabolic.ParabolicData(
             genus=_exact(data["genus"], int),
@@ -196,7 +200,7 @@ def cmd_stability(args) -> int:
         candidates = (_enumerated_candidates(*args.enumerate_range, pd.point_count)
                       if args.enumerate_range is not None else
                       [parabolic.SubbundleCandidate(
-                          _exact(c["degree"], int), tuple(bool(m) for m in c["matches"]),
+                          _exact(c["degree"], int), tuple(map(flag, c["matches"])),
                           str(c.get("label", ""))) for c in data["candidates"]])
         return parabolic.stability_verdict(pd, candidates)
 

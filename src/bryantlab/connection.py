@@ -28,7 +28,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -216,9 +215,11 @@ class LineSegment:
         a, b = self.start - w, self.end - w
         if not 0 < -(a * (b - a).conjugate()).real < abs(b - a) ** 2:
             return min(abs(a), abs(b))
-        # the foot is inside: |a × b| / |b - a|, a × b summed exactly (it cancels near a far pole)
-        (x0, y0), (x1, y1), (u, v) = [map(Fraction, (z.real, z.imag)) for z in (self.start, self.end, w)]
-        return abs(float((x0 - u) * (y1 - v) - (y0 - v) * (x1 - u))) / abs(b - a)
+        # the foot is inside: |a × b| / |b - a|, a × b exact over s² (it cancels near a far pole)
+        r = [x.as_integer_ratio() for z in (self.start, self.end, w) for x in (z.real, z.imag)]
+        s = max(q for _, q in r)
+        x0, y0, x1, y1, u, v = [n * (s // q) for n, q in r]
+        return abs((x0 - u) * (y1 - v) - (y0 - v) * (x1 - u)) / (s * s) / abs(b - a)
 
     def to_json(self) -> dict:
         return {"kind": "line",
@@ -394,9 +395,11 @@ def _radius(n: list, d: list) -> float:
     """ρ = 1/max_k (||Θ_k||/(k+1))^{1/(k+1)} over the first len(n) coefficients
     of Θ = N/den; in |w| <= ρ/2 the terms of Y sum to <= e·|Y| (exp ∫||Θ||)."""
     th = []
-    for k, nk in enumerate(n):
-        th.append([(x - sum(d[j] * th[k - j][i] for j in range(1, min(k + 1, len(d)))))
-                   / d[0] for i, x in enumerate(nk)])
+    for k, (x0, x1, x2, x3) in enumerate(n):
+        c0 = c1 = c2 = c3 = 0   # Θ_k = (N_k - Σ_j den_j Θ_{k-j}) / den_0, summed from j = 1
+        for dj, (t0, t1, t2, t3) in zip(d[1:k + 1], reversed(th)):   # den_j, Θ_{k-j}
+            c0, c1, c2, c3 = c0 + dj * t0, c1 + dj * t1, c2 + dj * t2, c3 + dj * t3
+        th.append(((x0 - c0) / d[0], (x1 - c1) / d[0], (x2 - c2) / d[0], (x3 - c3) / d[0]))
     r = max([(max(abs(p) + abs(q), abs(u) + abs(v)) / (k + 1)) ** (1 / (k + 1))
              for k, (p, q, u, v) in enumerate(th)] + [0.0])
     return 1 / r if r else math.inf
@@ -418,20 +421,23 @@ def _taylor_step(n: list, d: list, y: tuple, a: complex, b: complex,
                  ratio: float, atol: float) -> tuple:
     """Y(m + b) = Φ(b)·Φ(a)^-1·y from y = Y(m + a) by one series of Φ' = -ΘΦ,
     Φ(0) = I, at m, stopped once ε = ratio/(1 - ratio)·max|last K terms| <= tol
-    and ε·|Z|·(1 + |Φ(b)Φ(a)^-1|) <= tol·max(1, |Y|), Z = Φ(a)^-1·y."""
+    and ε·|Z|·(1 + |Φ(b)Φ(a)^-1|) <= tol·max(1, |Y|), Z = Φ(a)^-1·y.  Every
+    term (a 4-tuple) is kept, term i at index i, beside the sum of its moduli."""
     h, q = (a, b) if (flip := abs(a) > abs(b)) else (b, a)   # scale by the longer
     q, qk, g = q / h if h else 0j, 1 + 0j, ratio / (1 - ratio)
     tol = cut = max(atol, _FLOOR)   # the full test runs once ε <= cut
-    # term k = -Σ_j (N_j + (k-1-j) den_{j+1}) h^{j+1} term_{k-1-j} / (den_0 k)
-    nh = [[x * h ** (j + 1) / d[0] for x in nj] for j, nj in enumerate(n)]
-    dh = [x * h ** (j + 1) / d[0] for j, x in enumerate(d[1:])] + [0j] * len(n)
-    terms = deque([(1 + 0j, 0j, 0j, 1 + 0j)], len(n) or 1)   # the last K, newest first
-    sizes = deque([2.0], len(n) or 1)   # and the sum of each one's entries' moduli
+    # term k = -Σ_j ((p, t, u, v)_j + (k-1-j) e_j) term_{k-1-j} / k over K = len(n) j's
+    coef = [(*(x * hj / d[0] for x in nj), d[j + 1] * hj / d[0] if j + 1 < len(d) else 0j)
+            for j, nj in enumerate(n) for hj in [h ** (j + 1)]]   # (N_j, den_{j+1}) h^{j+1}/den_0
+    terms, sizes, K = [(1 + 0j, 0j, 0j, 1 + 0j)], [2.0], len(n)
     s0, s1, s2, s3 = r0, r1, r2, r3 = 1 + 0j, 0j, 0j, 1 + 0j   # sums at h, q·h
     for k in itertools.count(1):
         a0 = a1 = a2 = a3 = 0j
-        for j, ((p, t, u, v), e, (y0, y1, y2, y3)) in enumerate(zip(nh, dh, terms)):
-            e *= k - 1 - j
+        i = k
+        for p, t, u, v, e in (coef if k >= K else coef[:k]):
+            i -= 1   # k - 1 - j
+            y0, y1, y2, y3 = terms[i]
+            e *= i
             pe, ve = p + e, v + e
             a0 += pe * y0 + t * y2
             a1 += pe * y1 + t * y3
@@ -441,12 +447,12 @@ def _taylor_step(n: list, d: list, y: tuple, a: complex, b: complex,
         size = abs(a0) + abs(a1) + abs(a2) + abs(a3)
         if not math.isfinite(size):
             raise ToleranceNotMet(f"Taylor term {k} is not finite")
-        terms.appendleft((a0, a1, a2, a3))
-        sizes.appendleft(size)
+        terms.append((a0, a1, a2, a3))
+        sizes.append(size)
         s0, s1, s2, s3 = s0 + a0, s1 + a1, s2 + a2, s3 + a3
         qk *= q
         r0, r1, r2, r3 = r0 + a0 * qk, r1 + a1 * qk, r2 + a2 * qk, r3 + a3 * qk
-        if size * g <= cut and (eps := g * max(sizes)) <= cut:
+        if size * g <= cut and (eps := g * max(sizes[-K or -1:])) <= cut:   # the last K
             s, r = (s0, s1, s2, s3), (r0, r1, r2, r3)
             inv = _inv(s if flip else r)   # Φ(a)^-1
             w, z = _mul(r if flip else s, inv), _mul(inv, y)

@@ -415,8 +415,8 @@ class LaurentPoly:
             (a, b), (c, q) = _read_rational(re), _read_rational(im)
             if e in parts:
                 raise ValueError(f"duplicate exponent {e} in serialized polynomial")
-            if a or c:
-                parts[e] = (a, b, c, q)
+            parts[e] = (a, b, c, q)
+        parts = {e: t for e, t in parts.items() if t[0] or t[2]}   # zero terms drop
         d = lcm(*chain.from_iterable((b, q) for _, b, _, q in parts.values()))
         return cls._of({e: (a * (d // b), c * (d // q)) for e, (a, b, c, q) in parts.items()}, d)
 

@@ -3,20 +3,28 @@
 bench/ imports names from bryantlab and wraps others by name, so a
 refactor of src/ can break the benchmark without breaking any other
 test.  These checks import the harness, install and remove its span
-wrappers, and run the first job of each kind through its oracle.
+wrappers, and run the first job of each kind through its oracle.  Reference
+copies of earlier transport kernels run beside the current ones on the
+bench's holonomy rounds and on random fields, and must give the same bits.
 """
 
+import contextlib
 import itertools
 import json
+import math
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bryantlab import connection
 from bryantlab.connection import (HiggsField, PathLoop, model_end_field,
                                   parallel_transport)
-from bryantlab.series import LaurentMatrix
+from bryantlab.errors import ToleranceNotMet
+from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -202,6 +210,81 @@ def test_taylor_kernel_matches_the_reference_loop(bench, tmp_path, monkeypatch):
     for theta, loop in _holonomy_round(workloads, tmp_path, 7):
         parallel_transport(theta, loop)
     assert len(same) >= 100 and all(same)
+
+
+def _reference_radius(n, d):
+    """_radius as it was before it summed with explicit loops, one nested
+    generator per entry: the loops must give the same bits."""
+    th = []
+    for k, nk in enumerate(n):
+        th.append([(x - sum(d[j] * th[k - j][i] for j in range(1, min(k + 1, len(d)))))
+                   / d[0] for i, x in enumerate(nk)])
+    r = max([(max(abs(p) + abs(q), abs(u) + abs(v)) / (k + 1)) ** (1 / (k + 1))
+             for k, (p, q, u, v) in enumerate(th)] + [0.0])
+    return 1 / r if r else math.inf
+
+
+@contextlib.contextmanager
+def _kernels_beside_references():
+    """Run _reference_taylor_step and _reference_radius beside every call of
+    the kernels they copy; yields two lists, one entry per call, True where
+    the results agree bit for bit (repr keeps the sign of a zero)."""
+    series, radii = [], []
+    step, radius = connection._taylor_step, connection._radius
+
+    def checked_step(*args):
+        y = step(*args)
+        series.append(repr(y) == repr(_reference_taylor_step(*args)))
+        return y
+
+    def checked_radius(*args):
+        r = radius(*args)
+        radii.append(repr(r) == repr(_reference_radius(*args)))
+        return r
+
+    connection._taylor_step, connection._radius = checked_step, checked_radius
+    try:
+        yield series, radii
+    finally:
+        connection._taylor_step, connection._radius = step, radius
+
+
+@pytest.mark.parametrize("seed, counts", [(7, (127, 146)), (8, (126, 144))])
+def test_transport_kernels_match_their_reference_copies(bench, tmp_path, seed, counts):
+    # every series and every midpoint's ρ of a holonomy round, and the
+    # number of each, which bit-identical kernels leave unchanged
+    _, _, workloads = bench
+    with _kernels_beside_references() as (series, radii):
+        for theta, loop in _holonomy_round(workloads, tmp_path, seed):
+            parallel_transport(theta, loop)
+    assert (len(series), len(radii)) == counts
+    assert all(series) and all(radii)
+
+
+_QUARTERS = st.builds(lambda x, y: GaussianRational(Fraction(x, 4), Fraction(y, 4)),
+                      st.integers(-8, 8), st.integers(-8, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_QUARTERS, _QUARTERS, _QUARTERS), min_size=1, max_size=6),
+       st.lists(_QUARTERS, min_size=1, max_size=3, unique=True),
+       st.sampled_from([0.5, 1.0, 1.5]), st.floats(0, 2 * math.pi))
+def test_transport_kernels_match_on_random_fields(coeffs, poles, radius, angle):
+    # N with 1-6 coefficients per entry over den = Π (z - p) with 1-3 poles,
+    # transported around a circle that keeps clear of every pole
+    a, b, c = (LaurentPoly(dict(enumerate(col))) for col in zip(*coeffs))
+    den = LaurentPoly.one()
+    for p in poles:
+        den = den * LaurentPoly({1: 1, 0: -p})
+    assume(not (a.is_zero and b.is_zero and c.is_zero))
+    theta = HiggsField(LaurentMatrix(a, b, c, -a), den)
+    assume(all(abs(abs(p) - radius) >= 0.2 for p in theta.poles))
+    with _kernels_beside_references() as (series, radii):
+        try:
+            parallel_transport(theta, PathLoop.circle(0j, radius, angle))
+        except ToleranceNotMet:
+            pass   # the calls made before it still count
+    assert series and radii and all(series) and all(radii)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 8])

@@ -542,6 +542,16 @@ class TestStability:
         assert code == 2 and out == "" and "stability file" in err
 
 
+    @pytest.mark.parametrize("matches", [["false"], [0], [1], ["true"], [None]])
+    def test_a_match_must_be_a_json_bool(self, capsys, write_json, matches):
+        # bool("false") is True: a string or a number read as a hit once made
+        # a stable file "unstable"
+        path = write_json("matches.json", self.stability_payload(0, matches))
+        code, out, err = run(capsys, "stability", path)
+        assert code == 2 and out == ""
+        assert "stability file" in err and path in err and "true or false" in err
+
+
 def _zero_denominator(data):
     """data with its first coefficient's real part replaced by "1/0"."""
     text = json.dumps(data)

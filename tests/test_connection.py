@@ -234,6 +234,17 @@ class TestCousin:
         assert set(data) == {"omega1", "omega2", "omega3", "den", "is_null"}
 
 
+def _fraction_line_distance(seg: LineSegment, w: complex) -> float:
+    """LineSegment.min_distance with a × b summed in Fraction, as it was
+    before the integer form: the two must agree bit for bit."""
+    a, b = seg.start - w, seg.end - w
+    if not 0 < -(a * (b - a).conjugate()).real < abs(b - a) ** 2:
+        return min(abs(a), abs(b))
+    (x0, y0), (x1, y1), (u, v) = [map(Fraction, (z.real, z.imag))
+                                  for z in (seg.start, seg.end, w)]
+    return abs(float((x0 - u) * (y1 - v) - (y0 - v) * (x1 - u))) / abs(b - a)
+
+
 class TestPaths:
     def test_line_basics(self):
         seg = LineSegment(0j, 2 + 2j)
@@ -254,6 +265,24 @@ class TestPaths:
         exact = float(cross) / math.hypot(x1 - x0, y1 - y0)
         assert abs(seg.min_distance(w) - exact) <= 4 * math.ulp(exact)
         assert seg.reverse().min_distance(w) == seg.min_distance(w)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.complex_numbers(max_magnitude=1e4, allow_nan=False, allow_infinity=False),
+           st.floats(min_value=-8, max_value=8).map(lambda e: 10 ** e),
+           st.floats(min_value=0, max_value=2 * math.pi),
+           st.floats(min_value=-0.25, max_value=1.25),
+           st.floats(min_value=-8, max_value=8).map(lambda e: 10 ** e),
+           st.sampled_from([1, -1]))
+    def test_line_distance_matches_the_fraction_cross_product(self, start, length, angle,
+                                                            along, away, side):
+        # w from 1e-8 to 1e8 off lines 1e-8 to 1e8 long: the integer a × b over
+        # one power of 2 rounds exactly as the same sum taken in Fraction
+        direction = cmath.exp(1j * angle)
+        seg = LineSegment(start, start + length * direction)
+        w = start + (along * length + side * away * 1j) * direction
+        assume(cmath.isfinite(w))
+        assert seg.min_distance(w) == _fraction_line_distance(seg, w)
+        assert seg.reverse().min_distance(w) == _fraction_line_distance(seg.reverse(), w)
 
     def test_path_at_the_clearance_far_from_its_ends_transports(self):
         # the true distance is 1e-3·(1 - 4.5e-13), inside the 1e-12 allowance

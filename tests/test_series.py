@@ -457,6 +457,24 @@ class TestSerialization:
         with pytest.raises(ValueError):
             LaurentPoly.from_json(data)
 
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("zero", [("0", "0"), ("0/7", "-0"), (0, 0)])
+    def test_duplicate_exponent_rejected_in_either_order(self, first, zero):
+        # a zero term was never stored, so the check once missed it when it
+        # came first: [0 at z^0, 1 at z^0] loaded as the constant 1
+        terms = [{"exp": 0, "re": zero[0], "im": zero[1]},
+                 {"exp": 0, "re": "1", "im": "0"}]
+        data = {"terms": terms if first == 0 else terms[::-1]}
+        with pytest.raises(ValueError, match="duplicate exponent 0"):
+            LaurentPoly.from_json(data)
+
+    def test_zero_terms_are_dropped(self):
+        data = {"terms": [{"exp": 2, "re": "0/3", "im": "0"},
+                          {"exp": -1, "re": "1/2", "im": "0"}]}
+        p = LaurentPoly.from_json(data)
+        assert p == LaurentPoly({-1: Fraction(1, 2)})
+        assert p.to_json() == {"terms": [{"exp": -1, "re": "1/2", "im": "0"}]}
+
     @pytest.mark.parametrize("key, value", [
         ("exp", 1.5), ("exp", True), ("re", 0.1), ("re", float("inf")),
         ("im", True), ("im", 1.5),
