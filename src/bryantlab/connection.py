@@ -11,8 +11,8 @@ gcd.  The poles of Θ are then exactly the roots of den.
 Flat sections satisfy ds = -Θ s; parallel transport along a path z(t)
 therefore integrates dY/dt = -Θ(z(t)) z'(t) Y, Y(0) = I.  For the model
 end Θ = -diag(α, -α) dz/z the transport around a counterclockwise unit
-circle is diag(e^{2πiα}, e^{-2πiα}); this integrator is the package's
-ground truth for holonomy conventions.
+circle is diag(e^{2πiα}, e^{-2πiα}).  The transport is the general route and
+the reference that every other route is tested against.
 
 As stored, den·Y' = -N·Y, so the Taylor coefficients of Y, N(m + w) and
 den(m + w) at a centre m (N and den shifted by synthetic division) obey
@@ -21,6 +21,15 @@ A step from c to e sums that series for Φ, Φ(0) = I, at its midpoint m at
 both ends, each at most half way from m to the nearest pole and nearer where
 Θ is so large that the terms would cancel (_radius): Y(e) = Φ(e - m)·Φ(c - m)^-1·Y(c).
 A path's first chord is 2/3 of its start's pole distance, a later one ρ of the last m.
+
+holonomy takes a local route for a loop that bounds a convex disc around one simple
+pole p with non-resonant residue R = N(p)/den'(p): there the flat sections are
+G(w)·w^-R, w = z - p, G(0) = I, G analytic out to ρ, the nearer of the next pole
+and the _radius of Θ - R/w.  With q = den(p + w)/w, P = N(p + w) - R·q and
+μ = -det R, q_0 (k + ad R) G_k = -Σ_{j>=1} (P_j + q_j (k - j + ad R)) G_{k-j}, and
+ad R³ = 4μ·ad R inverts k + ad R.  The loop's monodromy is T⁻¹·G(b′)·E·G(b′)⁻¹·T:
+T transports its base b to b′ = p + r′(b - p)/|b - p|, r′ = min(|b - p|, ρ/3), and
+E = e^{∓2πiR} = cos 2πλ ∓ i·(sin 2πλ/λ)·R, λ² = μ, − counterclockwise.
 """
 
 from __future__ import annotations
@@ -332,10 +341,11 @@ class PathLoop(Path):
 
     @property
     def counterclockwise(self) -> bool:
-        # shoelace sign on a dense polyline sample
-        area = 0.0
+        # shoelace sign on a dense polyline sample, relative to the base so
+        # that it does not cancel far from the origin
+        area, b = 0.0, self.base
         for seg in self.segments:
-            pts = [seg.at(k / 16) for k in range(17)]
+            pts = [seg.at(k / 16) - b for k in range(17)]
             for p, q in zip(pts, pts[1:]):
                 area += p.real * q.imag - q.real * p.imag
         return area > 0
@@ -593,15 +603,135 @@ def report_from_matrices(mats: Sequence[np.ndarray],
                           abelian=all(d <= su2_tol for d in pair_defects))
 
 
+_FAR, _SHARE = 3, 64   # b′ within ρ/_FAR of p; the connector and G's tail at atol/_SHARE
+
+
+def _local_monodromy(theta: HiggsField, loop: PathLoop,
+                     controls: NumericControls) -> np.ndarray | None:
+    """T⁻¹·G(b′)·e^{∓2πiR}·G(b′)⁻¹·T (module docstring); None for a loop off the
+    route or too close to a pole, and where the error estimate exceeds 2·atol·max(1, |M|)."""
+    atol, segs, ccw = controls.atol, loop.segments, loop.counterclockwise
+    sign = 1 if ccw else -1
+    if len(theta.poles) != theta.den.degree() or any(   # a multiple pole, or too close
+            loop.min_distance(x) < controls.pole_clearance * (1 - 1e-12) for x in theta.poles):
+        return None
+    if len(segs) == 1 and isinstance(segs[0], ArcSegment):   # one full circle
+        a = segs[0]
+        ulp = math.ulp(max(abs(a.angle0), abs(a.angle1)))
+        if abs(a.angle1 - a.angle0 - sign * 2 * math.pi) > 4 * ulp:
+            return None
+        inside = [x for x in theta.poles if abs(x - a.center) < a.radius]
+    elif len(segs) >= 3 and all(isinstance(s, LineSegment) for s in segs):
+        # a convex polygon: closed exactly, every turn one way, one turn in all
+        edges = [s.end - s.start for s in segs]
+        turns = [e.conjugate() * f for e, f in zip(edges, edges[1:] + edges[:1])]
+        if (any(s.end != t.start for s, t in zip(segs, segs[1:] + segs[:1]))
+                or not all(sign * t.imag > 0 for t in turns)
+                or abs(sum(map(cmath.phase, turns)) - sign * 2 * math.pi) > 1):
+            return None
+        inside = [x for x in theta.poles if all(
+            sign * (e.conjugate() * (x - s.start)).imag > 0 for e, s in zip(edges, segs))]
+    else:
+        return None
+    if len(inside) != 1:
+        return None
+    p, b = inside[0], loop.base
+    ents = theta.num.entries
+    hi = max([e.degree() for e in ents if not e.is_zero] + [theta.den.degree() - 1])
+    n = list(zip(*(_shift(e.float_coeffs(0, hi), p) for e in ents)))   # N(p + w)
+    q = _shift(theta.den.float_coeffs(0, theta.den.degree()), p)[1:]   # den(p + w)/w
+    if not q[0]:
+        return None
+    r0, r1, r2, r3 = r = tuple(x / q[0] for x in n[0])
+    pq = [(tuple(x - y * qj for x, y in zip(nj, r)), qj)   # (P_j, q_j), j >= 1
+          for nj, qj in zip(n[1:], q[1:] + [0j] * hi)]
+    mu = r1 * r2 - r0 * r3
+    lam = cmath.sqrt(mu)
+    th = 2 * math.pi * lam
+    if not (abs(th) * _FLOOR <= atol and abs(th.imag) < 700):
+        return None   # e^{∓2πiR} cannot be formed within atol
+    c, si = cmath.cos(th), -1j * sign * (cmath.sin(th) / lam if lam else 2 * math.pi)
+    e = (c + si * r0, si * r1, si * r2, c + si * r3)   # E
+
+    def norm(x):   # the largest row sum, so |I| = 1
+        return max(abs(x[0]) + abs(x[1]), abs(x[2]) + abs(x[3]))
+
+    def ad(x0, x1, x2, x3):   # R·X - X·R
+        return (r1 * x2 - x1 * r2, r0 * x1 + r1 * x3 - x0 * r1 - x1 * r3,
+                r2 * x0 + r3 * x2 - x2 * r0 - x3 * r2, r2 * x1 - x2 * r1)
+
+    de = _FLOOR * (1 + abs(th)) * (abs(c) + abs(si) * norm(r))   # E's rounding
+    rho = min([abs(x - p) for x in theta.poles if x != p] + [_radius([x for x, _ in pq], q)])
+    rw = min(abs(b - p), rho / _FAR)
+    if not rw >= controls.pole_clearance:
+        return None
+    b1, t, dt = b, (1 + 0j, 0j, 0j, 1 + 0j), 0.0
+    if rw < abs(b - p):   # T by transport, its error from transport's bound
+        b1 = p + rw * (b - p) / abs(b - p)
+        try:
+            t = tuple(parallel_transport(theta, Path.polyline([b, b1]),
+                                         controls.with_(atol=atol / _SHARE)).ravel().tolist())
+        except ToleranceNotMet:
+            return None
+        dt = 4 * atol / _SHARE * max(1.0, *map(abs, t))
+    ti, w = _inv(t), b1 - p
+    nt = norm(t) * norm(ti)
+    coef = [(*(x * wj / q[0] for x in pj), qj * wj / q[0])   # (P_j, q_j) w^j/q_0
+            for j, (pj, qj) in enumerate(pq, 1) for wj in [w ** j]]
+    K, g = len(coef), rw / rho / (1 - rw / rho)
+    y, sizes, cut = (1 + 0j, 0j, 0j, 1 + 0j), [2.0], max(atol / _SHARE, _FLOOR)
+    terms = [y]
+    for k in itertools.count(1):
+        if sizes[-1] * g <= cut and (eps := g * max(sizes[-K or -1:])) <= cut:
+            yi = _inv(y)
+            x = _mul(_mul(y, e), yi)
+            m = _mul(_mul(ti, x), t)
+            scale = 2 * atol * max(1.0, *map(abs, m))
+            fixed = nt * norm(y) * norm(yi) * de + 2 * norm(m) * norm(ti) * dt
+            per = 2 * nt * norm(yi) * norm(x)   # |δM| per |δG|
+            if fixed + per * (eps + _FLOOR * sum(sizes)) <= scale:   # tail and rounding
+                return np.array(m, dtype=complex).reshape(2, 2)
+            cut = (scale - fixed) / per - _FLOOR * sum(sizes)
+            if not cut > 0:
+                return None   # no number of terms meets atol
+        dk = k * k - 4 * mu   # never reached where Θ = R/(z - p): K = 0, G = I
+        if not abs(dk) > 1e-8 * k * k:
+            return None   # resonant: k + ad R is (nearly) singular
+        a0 = a1 = a2 = a3 = z0 = z1 = z2 = z3 = 0j
+        i = k
+        for p0, p1, p2, p3, qj in (coef if k >= K else coef[:k]):
+            i -= 1   # k - j
+            y0, y1, y2, y3 = terms[i]
+            v = qj * i
+            a0, a1 = a0 + (p0 + v) * y0 + p1 * y2, a1 + (p0 + v) * y1 + p1 * y3
+            a2, a3 = a2 + p2 * y0 + (p3 + v) * y2, a3 + p2 * y1 + (p3 + v) * y3
+            z0, z1, z2, z3 = z0 + qj * y0, z1 + qj * y1, z2 + qj * y2, z3 + qj * y3
+        u0, u1, u2, u3 = ad(z0, z1, z2, z3)
+        h = (-a0 - u0, -a1 - u1, -a2 - u2, -a3 - u3)
+        hh = ad(*h)   # (k + ad R)^-1 Y = Y/k - ad Y/dk + ad² Y/(k dk)
+        term = tuple(u / k - v / dk + x / (k * dk) for u, v, x in zip(h, hh, ad(*hh)))
+        size = sum(map(abs, term))
+        if not math.isfinite(size):
+            return None
+        terms.append(term)
+        sizes.append(size)
+        y = tuple(u + v for u, v in zip(y, term))
+
+
 def holonomy(theta: HiggsField, loops: Sequence[PathLoop],
              controls: NumericControls = DEFAULTS) -> HolonomyReport:
-    """Transport every generator loop and check the results against SU(2).
+    """Compute every generator's monodromy and check it against SU(2).
 
+    A loop that bounds a circle or convex polygon around exactly one pole,
+    simple with a non-resonant residue, takes the local route (module
+    docstring); every other loop, and one whose error estimate misses the
+    bound, is transported.  Either way M is within 2·atol·max(1, |M|).
     Every defect is judged against ``controls.su2_tol``; the report also
     holds the commutator defect of each pair of generators.  At least one
     loop is required (ValueError otherwise).
     """
     if not loops:
         raise ValueError("at least one loop is required")
-    mats = tuple(parallel_transport(theta, lp, controls) for lp in loops)
+    mats = [m if (m := _local_monodromy(theta, lp, controls)) is not None
+            else parallel_transport(theta, lp, controls) for lp in loops]
     return report_from_matrices(mats, controls.su2_tol)

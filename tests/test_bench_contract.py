@@ -8,6 +8,7 @@ copies of earlier transport kernels run beside the current ones on the
 bench's holonomy rounds and on random fields, and must give the same bits.
 """
 
+import cmath
 import contextlib
 import itertools
 import json
@@ -16,6 +17,7 @@ from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -65,8 +67,12 @@ def test_tracer_wraps_every_traced_name(bench, tmp_path):
         assert owner.__dict__[attr] is original
     assert result.ok, result.detail
     calls, _ = tracer.layer_totals()
-    # one transport per loop of the 8-loop file, one report for the family
-    assert calls["connection.parallel_transport"] == 8
+    # each loop of the 8-loop file winds once around one simple pole, so
+    # holonomy transports only the connector from its base b to
+    # b′ = p + r′(b - p)/|b - p|, r′ = min(|b - p|, ρ/3) with ρ = 1 the
+    # distance between the poles; the two radius-0.3 circles need none
+    assert calls["connection.parallel_transport"] == 6
+    # one report for the family
     assert calls["connection.report_from_matrices"] == 1
     # transport sums Taylor series of den·Y' = -N·Y and never evaluates Θ,
     # so the two traced evaluation methods (and connection.rhs_per_loop,
@@ -154,6 +160,42 @@ def test_holonomy_round_evaluates_few_midpoints(bench, tmp_path, monkeypatch):
     for theta, loop in _holonomy_round(workloads, tmp_path, 7):
         parallel_transport(theta, loop)
     assert len(midpoints) <= 146
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_holonomy_round_sums_few_series(bench, tmp_path, monkeypatch, seed):
+    # every loop of a round winds once around one simple pole, so holonomy
+    # sums Taylor series only on the connectors from the two-pole loops'
+    # bases toward their poles, and none on the model ends (127 and 126
+    # series when every loop was transported)
+    _, _, workloads = bench
+    series = []
+    step = connection._taylor_step
+    monkeypatch.setattr(connection, "_taylor_step",
+                        lambda *args: series.append(1) or step(*args))
+    counts = []
+    for theta, loop in _holonomy_round(workloads, tmp_path, seed):
+        before = len(series)
+        connection.holonomy(theta, [loop])
+        counts.append(len(series) - before)
+    assert sum(counts) <= 20
+    assert counts[8:] == [0] * len(workloads.MODEL_WEIGHTS)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_holonomy_round_meets_its_closed_forms(bench, tmp_path, seed):
+    # residue eigenvalues ±1/4 give trace 0 and det 1 on the two-pole loops;
+    # a model end gives diag(e^{2πiα}, e^{-2πiα})
+    _, _, workloads = bench
+    pairs = _holonomy_round(workloads, tmp_path, seed)
+    for theta, loop in pairs[:8]:
+        (u,) = connection.holonomy(theta, [loop]).matrices
+        assert abs(u[0, 0] + u[1, 1]) <= 1e-15
+        assert abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1) <= 1e-15
+    for alpha, (theta, loop) in zip(workloads.MODEL_WEIGHTS, pairs[8:]):
+        (u,) = connection.holonomy(theta, [loop]).matrices
+        w = cmath.exp(2j * math.pi * alpha)
+        assert np.abs(u - np.diag([w, 1 / w])).max() <= 1e-15
 
 
 def _reference_taylor_step(n, d, y, a, b, ratio, atol):

@@ -353,6 +353,15 @@ class TestPaths:
         assert not unit_circle(ccw=False).counterclockwise
         assert unit_circle().reverse().counterclockwise is False
 
+    @pytest.mark.parametrize("loop", [
+        PathLoop.polygon([1e8 + 1e-3, 1e8 + 1e-3j, 1e8 - 1e-3, 1e8 - 1e-3j]),
+        PathLoop.circle(1e8 + 1e8j, 0.01)], ids=["square", "circle"])
+    def test_orientation_far_from_the_origin(self, loop):
+        # a shoelace over absolute coordinates cancels here and reads both
+        # orientations as clockwise
+        assert loop.counterclockwise
+        assert not loop.reverse().counterclockwise
+
     def test_polygon(self):
         sq = PathLoop.polygon([1, 1j, -1, -1j])
         assert sq.counterclockwise
@@ -665,7 +674,11 @@ class TestHolonomy:
         rep = holonomy(model_end_field(Fraction(1, 4)), [unit_circle()],
                        controls=tight)
         assert rep.tol == 1e-20
-        assert not rep.passes
+        # the α = 1/4 end's e^{-2πiR} has defects of exactly 0, so the verdict
+        # is shown on the imaginary-weight end, whose unitary defect is 2.9e5
+        theta = model_end_field(GaussianRational(Fraction(0), Fraction(1)))
+        assert not holonomy(theta, [unit_circle()], DEFAULTS).passes
+        assert holonomy(theta, [unit_circle()], DEFAULTS.with_(su2_tol=1e6)).passes
 
     @pytest.mark.parametrize("name", ["step", "atol", "su2_tol", "pole_clearance"])
     def test_controls_must_be_positive_and_finite(self, name):
@@ -705,6 +718,144 @@ class TestHolonomy:
         data2 = rep2.to_json()
         assert data2["abelian"] is True
         assert len(data2["commutator_defects"]) == 1
+
+
+def _quarters(n):
+    """Gaussian rationals (x + iy)/4 with |x|, |y| <= n."""
+    return st.builds(lambda x, y: GaussianRational(Fraction(x, 4), Fraction(y, 4)),
+                     st.integers(-n, n), st.integers(-n, n))
+
+
+_QUARTER = _quarters(4)
+_POLES = st.lists(_quarters(8), min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def _seeded_fields(draw):
+    """simple_pole_field with residues in Q(i), or a random N over a den of
+    distinct linear factors: 1-3 simple poles either way."""
+    poles = draw(_POLES)
+    if draw(st.booleans()):
+        residues = [(p, LaurentMatrix(*(LaurentPoly.constant(x) for x in (a, b, c)),
+                                      LaurentPoly.constant(-a)))
+                    for p in poles for a, b, c in [draw(st.tuples(*[_QUARTER] * 3))]]
+        theta = simple_pole_field(residues)
+    else:
+        coeffs = draw(st.lists(st.tuples(*[_QUARTER] * 3), min_size=1, max_size=6))
+        a, b, c = (LaurentPoly(dict(enumerate(col))) for col in zip(*coeffs))
+        den = LaurentPoly.one()
+        for p in poles:
+            den = den * LaurentPoly({1: 1, 0: -p})
+        theta = HiggsField(LaurentMatrix(a, b, c, -a), den)
+    assume(theta.poles and len(theta.poles) == theta.den.degree())
+    return theta
+
+
+def _transport_and_peak(theta, loop):
+    """parallel_transport's matrix, and the largest entry of Y at the end of
+    any of its steps."""
+    peak, step = [1.0], connection._taylor_step
+
+    def recorded(*args):
+        y = step(*args)
+        peak.append(max(map(abs, y)))
+        return y
+
+    connection._taylor_step = recorded
+    try:
+        return parallel_transport(theta, loop), max(peak)
+    finally:
+        connection._taylor_step = step
+
+
+class TestLocalMonodromy:
+    """holonomy's route through the local Frobenius basis at one simple
+    pole, against parallel_transport, the general route and reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_seeded_fields(), st.integers(0, 2), st.sampled_from([0.3, 0.6, 0.9]),
+           st.sampled_from([0, 3, 4, 6, 8]), st.booleans(),
+           st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi))
+    def test_route_agrees_with_transport(self, theta, index, frac, sides, ccw,
+                                         base_angle, shift_angle):
+        # a circle (sides = 0) or a regular polygon of radius frac·ρ, ρ the
+        # distance to the next pole, about a centre 0.1 of the radius off
+        # the pole: only that pole lies inside, and every pole keeps clear
+        p = theta.poles[index % len(theta.poles)]
+        rho = min([abs(x - p) for x in theta.poles if x != p], default=2.0)
+        radius = frac * rho
+        centre = p + 0.1 * radius * cmath.exp(1j * shift_angle)
+        if sides:
+            turn = (1 if ccw else -1) * 2 * math.pi / sides
+            loop = PathLoop.polygon([centre + radius * cmath.exp(1j * (base_angle + k * turn))
+                                     for k in range(sides)])
+        else:
+            loop = PathLoop.circle(centre, radius, base_angle, ccw)
+        try:
+            want, peak = _transport_and_peak(theta, loop)
+        except ToleranceNotMet:
+            assume(False)
+        (got,) = holonomy(theta, [loop]).matrices
+        # the transport holds each step's tails to that step's |Y|, so where
+        # |Y| grows on the way and shrinks again the reference is only good
+        # to its peak (test_route_meets_an_independent_reference)
+        bound = 4 * DEFAULTS.atol * max(1.0, peak, *np.abs(got).ravel())
+        assert np.abs(got - want).max() <= bound
+
+    def test_route_meets_an_independent_reference(self):
+        # one simple pole at 3i/4, clockwise around the circle of radius 1.8:
+        # |Y| reaches 635 along the transport and ends near 1.6.  The
+        # reference is an mpmath odefun solution at 30 digits, rounded to
+        # doubles; parallel_transport misses it by 1.9e-10
+        quarter_i = GaussianRational(Fraction(0), Fraction(1, 4))
+        theta = HiggsField(LaurentMatrix(ZERO, LaurentPoly({5: -quarter_i}),
+                                         LaurentPoly({4: quarter_i}), ZERO),
+                           LaurentPoly({1: 1, 0: GaussianRational(0, Fraction(-3, 4))}))
+        want = np.array([[1.5651768408980806 - 0.40949793298945003j,
+                          0.7106754326223395 + 1.0432447547851325j],
+                         [0.010485245903209558 + 0.22959386290675926j,
+                          0.43196298723643267 + 0.22425155859048j]])
+        loop = PathLoop.circle(0.75j, 1.8, 0.0, ccw=False)
+        assert connection._local_monodromy(theta, loop, DEFAULTS) is not None
+        (got,) = holonomy(theta, [loop]).matrices
+        assert np.abs(got - want).max() <= 2 * DEFAULTS.atol * max(1.0, *np.abs(got).ravel())
+
+    @pytest.mark.parametrize("theta, loop", [
+        (two_pole_field(), PathLoop.circle(0.5 + 0j, 1.5)),
+        (two_pole_field(), PathLoop([ArcSegment(0j, 0.5, 0.0, math.pi),
+                                     ArcSegment(0j, 0.5, math.pi, 2 * math.pi)])),
+        (two_pole_field(), PathLoop.polygon([0.5, 0.1 + 0.1j, 0.5j, -0.5, -0.5j])),
+        (two_pole_field(), PathLoop([ArcSegment(0j, 0.5, 0.0, 4 * math.pi)])),
+        (HiggsField(LaurentMatrix.diagonal(LaurentPoly.constant(Fraction(1, 100)),
+                                           LaurentPoly.constant(Fraction(-1, 100))), Z * Z),
+         unit_circle()),
+        (simple_pole_field([
+            (0, LaurentMatrix.diagonal(LaurentPoly.constant(Fraction(-1, 2)),
+                                       LaurentPoly.constant(Fraction(1, 2)))),
+            (3, LaurentMatrix(ZERO, LaurentPoly.constant(Fraction(1, 4)),
+                              LaurentPoly.constant(Fraction(1, 4)), ZERO))]),
+         unit_circle()),
+    ], ids=["both poles", "two half-arcs", "concave polygon", "swept twice",
+            "double pole", "resonant"])
+    def test_other_loops_take_the_transport(self, theta, loop):
+        # resonant: R = diag(-1/2, 1/2) at 0, so k + ad R is singular at
+        # k = 1, where the pole at 3 makes the right side nonzero
+        assert connection._local_monodromy(theta, loop, DEFAULTS) is None
+        (got,) = holonomy(theta, [loop]).matrices
+        assert np.array_equal(got, parallel_transport(theta, loop))
+
+    def test_clearance_is_checked_on_either_route(self):
+        with pytest.raises(PoleTooClose):
+            holonomy(two_pole_field(), [PathLoop.circle(0j, 1.0)])
+        with pytest.raises(PoleTooClose):
+            holonomy(model_end_field(Fraction(1, 3)), [PathLoop.circle(0j, 1e-4)])
+
+    def test_weight_beyond_the_double_range_falls_back(self):
+        # e^{-2πiR} cannot be formed within atol, so the transport decides
+        theta = model_end_field(Fraction(10 ** 300))
+        assert connection._local_monodromy(theta, unit_circle(), DEFAULTS) is None
+        with pytest.raises(ToleranceNotMet):
+            holonomy(theta, [unit_circle()])
 
 
 def _numpy_defects(mats):
