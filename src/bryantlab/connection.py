@@ -29,7 +29,8 @@ and the _radius of Θ - R/w.  With q = den(p + w)/w, P = N(p + w) - R·q and
 μ = -det R, q_0 (k + ad R) G_k = -Σ_{j>=1} (P_j + q_j (k - j + ad R)) G_{k-j}, and
 ad R³ = 4μ·ad R inverts k + ad R.  The loop's monodromy is T⁻¹·G(b′)·E·G(b′)⁻¹·T:
 T transports its base b to b′ = p + r′(b - p)/|b - p|, r′ = min(|b - p|, ρ/3), and
-E = e^{∓2πiR} = cos 2πλ ∓ i·(sin 2πλ/λ)·R, λ² = μ, − counterclockwise.
+E = e^{∓2πiR} = cos 2πλ ∓ i·(sin 2πλ/λ)·R, λ² = μ, − for a positive sweep or left turns,
+as the route's shape checks find them.  Too close to a pole, either route raises PoleTooClose.
 """
 
 from __future__ import annotations
@@ -287,9 +288,14 @@ class ArcSegment:
 Segment = Union[LineSegment, ArcSegment]
 
 
-def _joins(p: complex, q: complex) -> bool:
-    """p and q agree to 1e-9, relative to their size once it passes 1."""
-    return abs(p - q) <= 1e-9 * max(1.0, abs(p), abs(q))
+def _length(segments: Iterable[Segment]) -> float:
+    return sum(abs(seg.velocity(0.0)) for seg in segments)
+
+
+def _joins(p: complex, q: complex, size: float) -> bool:
+    """p and q agree to 1e-9 of the size of what they join plus 4 ulp of their coordinates."""
+    big = max(abs(p.real), abs(p.imag), abs(q.real), abs(q.imag))
+    return abs(p - q) <= 1e-9 * size + 4 * math.ulp(big)
 
 
 class Path:
@@ -300,7 +306,7 @@ class Path:
         if not segs:
             raise ValueError("a path needs at least one segment")
         for prev, nxt in zip(segs, segs[1:]):
-            if not _joins(prev.at(1.0), nxt.at(0.0)):
+            if not _joins(prev.at(1.0), nxt.at(0.0), _length((prev, nxt))):
                 raise ValueError("path segments do not join")
         self.segments = segs
 
@@ -332,23 +338,12 @@ class PathLoop(Path):
 
     def __init__(self, segments: Iterable[Segment]):
         super().__init__(segments)
-        if not _joins(self.start, self.end):
+        if not _joins(self.start, self.end, _length(self.segments)):
             raise ValueError("loop is not closed")
 
     @property
     def base(self) -> complex:
         return self.start
-
-    @property
-    def counterclockwise(self) -> bool:
-        # shoelace sign on a dense polyline sample, relative to the base so
-        # that it does not cancel far from the origin
-        area, b = 0.0, self.base
-        for seg in self.segments:
-            pts = [seg.at(k / 16) - b for k in range(17)]
-            for p, q in zip(pts, pts[1:]):
-                area += p.real * q.imag - q.real * p.imag
-        return area > 0
 
     @classmethod
     def circle(cls, center: complex, radius: float,
@@ -360,7 +355,7 @@ class PathLoop(Path):
     @classmethod
     def polygon(cls, vertices: Sequence[complex]) -> "PathLoop":
         pts = [complex(p) for p in vertices]
-        if pts and not _joins(pts[0], pts[-1]):
+        if pts and not _joins(pts[0], pts[-1], sum(abs(q - p) for p, q in zip(pts, pts[1:]))):
             pts.append(pts[0])
         return cls(tuple(LineSegment(p, q) for p, q in zip(pts, pts[1:])))
 
@@ -381,7 +376,7 @@ class PathLoop(Path):
                 raise ValueError(f"unknown segment kind {s['kind']!r}")
         loop = cls(tuple(segs))
         base = json_point(data["base"])
-        if not (cmath.isfinite(base) and _joins(loop.base, base)):
+        if not (cmath.isfinite(base) and _joins(loop.base, base, _length(loop.segments))):
             raise ValueError("declared base does not match the first segment")
         return loop
 
@@ -476,6 +471,20 @@ def _taylor_step(n: list, d: list, y: tuple, a: complex, b: complex,
             cut = scale / gain
 
 
+def _prelude(theta: HiggsField, path: Path, controls: NumericControls) -> tuple[list, list]:
+    """PoleTooClose unless the path keeps pole_clearance from every pole; then
+    the float coefficients of N's entries (>= deg(den) terms each) and of den."""
+    for p in theta.poles:
+        d = path.min_distance(p)
+        if d < controls.pole_clearance * (1 - 1e-12):
+            raise PoleTooClose(
+                f"path comes within {d:.3e} of pole {p!r} "
+                f"(clearance {controls.pole_clearance:.3e})")
+    ents, den = theta.num.entries, theta.den
+    hi = max([p.degree() for p in ents if not p.is_zero] + [den.degree() - 1])
+    return [p.float_coeffs(0, hi) for p in ents], den.float_coeffs(0, den.degree())
+
+
 def parallel_transport(theta: HiggsField, path: Path,
                        controls: NumericControls = DEFAULTS) -> np.ndarray:
     """Y(1) for dY = -Θ(z) dz Y along the path, Y(0) = I.
@@ -488,18 +497,8 @@ def parallel_transport(theta: HiggsField, path: Path,
     share its fraction of the path length; 4·eps floors summing past atol
     raise ToleranceNotMet, so the tails of a path sum to <= 2·atol·max(1, |Y|).
     """
-    for p in theta.poles:
-        d = path.min_distance(p)
-        if d < controls.pole_clearance * (1 - 1e-12):
-            raise PoleTooClose(
-                f"path comes within {d:.3e} of pole {p!r} "
-                f"(clearance {controls.pole_clearance:.3e})")
-    # N gets >= deg(den) terms
-    ents = theta.num.entries
-    hi = max([p.degree() for p in ents if not p.is_zero] + [theta.den.degree() - 1])
-    cols = [p.float_coeffs(0, hi) for p in ents]
-    d = theta.den.float_coeffs(0, theta.den.degree())
-    length = sum(abs(seg.velocity(0.0)) for seg in path.segments)
+    cols, d = _prelude(theta, path, controls)
+    length = _length(path.segments)
     y, steps = (1 + 0j, 0j, 0j, 1 + 0j), 0
     rho = 2 / 3 * min([abs(path.start - p) for p in theta.poles], default=math.inf)
     try:
@@ -581,22 +580,36 @@ def _defects(x: tuple) -> tuple[float, float]:
     return _off_one(_mul(x, star)), abs(x[0] * x[3] - x[1] * x[2] - 1.0)
 
 
+def _entries(u) -> tuple:
+    """A 2x2 matrix's entries, row-major, as a 4-tuple; ValueError on any other shape."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
+    return tuple(u.ravel().tolist())
+
+
+def _commutator_defect(x: tuple, y: tuple) -> float:
+    """||X Y X^-1 Y^-1 - I||_F, inf where X or Y is singular."""
+    try:
+        return _off_one(_mul(_mul(_mul(x, y), _inv(x)), _inv(y)))
+    except ZeroDivisionError:
+        return math.inf
+
+
 def su2_defects(u: np.ndarray) -> tuple[float, float]:
-    """(||U U* - I||_F, |det U - 1|)."""
-    return _defects(tuple(np.asarray(u, dtype=complex).ravel().tolist()))
+    """(||U U* - I||_F, |det U - 1|) of a 2x2 matrix."""
+    return _defects(_entries(u))
 
 
 def report_from_matrices(mats: Sequence[np.ndarray],
                          su2_tol: float) -> HolonomyReport:
-    """Assemble a HolonomyReport from already-transported generators."""
+    """Assemble a HolonomyReport from already-transported 2x2 generators."""
     mats = tuple(np.asarray(m, dtype=complex) for m in mats)
-    xs = [tuple(m.ravel().tolist()) for m in mats]
+    xs = [_entries(m) for m in mats]
     defects = [_defects(x) for x in xs]
     unitary, det = tuple(d[0] for d in defects), tuple(d[1] for d in defects)
     passes = all(u <= su2_tol for u in unitary) and all(d <= su2_tol for d in det)
-    pair_defects = tuple(   # ||U V U^-1 V^-1 - I||_F over each pair
-        _off_one(_mul(_mul(_mul(x, y), _inv(x)), _inv(y)))
-        for x, y in itertools.combinations(xs, 2))
+    pair_defects = tuple(_commutator_defect(x, y) for x, y in itertools.combinations(xs, 2))
     return HolonomyReport(matrices=mats, unitary_defects=unitary,
                           det_defects=det, passes=passes, tol=su2_tol,
                           commutator_defects=pair_defects,
@@ -608,15 +621,15 @@ _FAR, _SHARE = 3, 64   # b′ within ρ/_FAR of p; the connector and G's tail at
 
 def _local_monodromy(theta: HiggsField, loop: PathLoop,
                      controls: NumericControls) -> np.ndarray | None:
-    """T⁻¹·G(b′)·e^{∓2πiR}·G(b′)⁻¹·T (module docstring); None for a loop off the
-    route or too close to a pole, and where the error estimate exceeds 2·atol·max(1, |M|)."""
-    atol, segs, ccw = controls.atol, loop.segments, loop.counterclockwise
-    sign = 1 if ccw else -1
-    if len(theta.poles) != theta.den.degree() or any(   # a multiple pole, or too close
-            loop.min_distance(x) < controls.pole_clearance * (1 - 1e-12) for x in theta.poles):
+    """T⁻¹·G(b′)·e^{∓2πiR}·G(b′)⁻¹·T (module docstring), − for a positive sweep or left
+    turns; None off the route or where the error estimate exceeds 2·atol·max(1, |M|).
+    A loop on the route that comes too close to a pole raises PoleTooClose here."""
+    atol, segs = controls.atol, loop.segments
+    if len(theta.poles) != theta.den.degree():   # a multiple pole
         return None
     if len(segs) == 1 and isinstance(segs[0], ArcSegment):   # one full circle
         a = segs[0]
+        sign = 1 if a.angle1 > a.angle0 else -1
         ulp = math.ulp(max(abs(a.angle0), abs(a.angle1)))
         if abs(a.angle1 - a.angle0 - sign * 2 * math.pi) > 4 * ulp:
             return None
@@ -625,6 +638,7 @@ def _local_monodromy(theta: HiggsField, loop: PathLoop,
         # a convex polygon: closed exactly, every turn one way, one turn in all
         edges = [s.end - s.start for s in segs]
         turns = [e.conjugate() * f for e, f in zip(edges, edges[1:] + edges[:1])]
+        sign = 1 if turns[0].imag > 0 else -1
         if (any(s.end != t.start for s, t in zip(segs, segs[1:] + segs[:1]))
                 or not all(sign * t.imag > 0 for t in turns)
                 or abs(sum(map(cmath.phase, turns)) - sign * 2 * math.pi) > 1):
@@ -636,15 +650,13 @@ def _local_monodromy(theta: HiggsField, loop: PathLoop,
     if len(inside) != 1:
         return None
     p, b = inside[0], loop.base
-    ents = theta.num.entries
-    hi = max([e.degree() for e in ents if not e.is_zero] + [theta.den.degree() - 1])
-    n = list(zip(*(_shift(e.float_coeffs(0, hi), p) for e in ents)))   # N(p + w)
-    q = _shift(theta.den.float_coeffs(0, theta.den.degree()), p)[1:]   # den(p + w)/w
+    cols, d = _prelude(theta, loop, controls)   # then N(p + w) and den(p + w)/w
+    n, q = list(zip(*(_shift(col, p) for col in cols))), _shift(d, p)[1:]
     if not q[0]:
         return None
     r0, r1, r2, r3 = r = tuple(x / q[0] for x in n[0])
     pq = [(tuple(x - y * qj for x, y in zip(nj, r)), qj)   # (P_j, q_j), j >= 1
-          for nj, qj in zip(n[1:], q[1:] + [0j] * hi)]
+          for nj, qj in zip(n[1:], q[1:] + [0j] * len(n))]
     mu = r1 * r2 - r0 * r3
     lam = cmath.sqrt(mu)
     th = 2 * math.pi * lam
@@ -669,8 +681,8 @@ def _local_monodromy(theta: HiggsField, loop: PathLoop,
     if rw < abs(b - p):   # T by transport, its error from transport's bound
         b1 = p + rw * (b - p) / abs(b - p)
         try:
-            t = tuple(parallel_transport(theta, Path.polyline([b, b1]),
-                                         controls.with_(atol=atol / _SHARE)).ravel().tolist())
+            t = _entries(parallel_transport(theta, Path.polyline([b, b1]),
+                                            controls.with_(atol=atol / _SHARE)))
         except ToleranceNotMet:
             return None
         dt = 4 * atol / _SHARE * max(1.0, *map(abs, t))
@@ -724,8 +736,9 @@ def holonomy(theta: HiggsField, loops: Sequence[PathLoop],
 
     A loop that bounds a circle or convex polygon around exactly one pole,
     simple with a non-resonant residue, takes the local route (module
-    docstring); every other loop, and one whose error estimate misses the
-    bound, is transported.  Either way M is within 2·atol·max(1, |M|).
+    docstring; its sign from the sweep or turns); every other loop, and one
+    whose error estimate misses the bound, is transported.  Either way M is
+    within 2·atol·max(1, |M|); a loop too close to a pole raises PoleTooClose.
     Every defect is judged against ``controls.su2_tol``; the report also
     holds the commutator defect of each pair of generators.  At least one
     loop is required (ValueError otherwise).

@@ -24,6 +24,7 @@ from bryantlab.connection import (ArcSegment, HiggsField, LineSegment, Path,
                                   report_from_matrices, simple_pole_field,
                                   su2_defects)
 from bryantlab.defaults import DEFAULTS
+from bryantlab.ends import weight_from_holonomy
 from bryantlab.errors import (NotNull, NotSpecial, PoleTooClose,
                               ToleranceNotMet)
 from bryantlab.frames import catalog
@@ -337,6 +338,18 @@ class TestPaths:
         assert again.base == loop.base
         assert again.segments == loop.segments
 
+    @pytest.mark.parametrize("centre, half", [(1e7 + 0j, 2e-3), (1e8 + 1e8j, 0.01)],
+                             ids=["1e7", "1e8+1e8i"])
+    def test_small_square_far_out_keeps_its_closing_edge(self, centre, half):
+        # closure is judged against the loop's size, not the distance from 0
+        square = PathLoop.polygon([centre + half * 1j ** k for k in range(4)])
+        assert len(square.segments) == 4
+
+    def test_open_path_far_out_is_not_a_loop(self):
+        c = 1e8 + 1e8j
+        with pytest.raises(ValueError, match="loop is not closed"):
+            PathLoop(Path.polyline([c + 0.01, c + 0.01j, c - 0.01, c - 0.01j]).segments)
+
     def test_polyline_and_concat(self):
         p = Path.polyline([0, 1, 1 + 1j])
         q = Path.polyline([1 + 1j, 0])
@@ -348,23 +361,8 @@ class TestPaths:
         with pytest.raises(ValueError):
             PathLoop([LineSegment(0j, 1 + 0j)])
 
-    def test_circle_orientation(self):
-        assert unit_circle().counterclockwise
-        assert not unit_circle(ccw=False).counterclockwise
-        assert unit_circle().reverse().counterclockwise is False
-
-    @pytest.mark.parametrize("loop", [
-        PathLoop.polygon([1e8 + 1e-3, 1e8 + 1e-3j, 1e8 - 1e-3, 1e8 - 1e-3j]),
-        PathLoop.circle(1e8 + 1e8j, 0.01)], ids=["square", "circle"])
-    def test_orientation_far_from_the_origin(self, loop):
-        # a shoelace over absolute coordinates cancels here and reads both
-        # orientations as clockwise
-        assert loop.counterclockwise
-        assert not loop.reverse().counterclockwise
-
     def test_polygon(self):
         sq = PathLoop.polygon([1, 1j, -1, -1j])
-        assert sq.counterclockwise
         assert abs(sq.base - 1) < 1e-12
         assert len(sq.segments) == 4
         for vertices in ([], [1j]):
@@ -768,6 +766,16 @@ def _transport_and_peak(theta, loop):
         connection._taylor_step = step
 
 
+FAR = 10 ** 8 + 10 ** 8 * 1j
+
+
+def _far_pole_field():
+    """One simple pole at FAR with residue diag(-1/3, 1/3)."""
+    third = Fraction(1, 3)
+    return simple_pole_field([(GaussianRational(10 ** 8, 10 ** 8), LaurentMatrix.diagonal(
+        LaurentPoly.constant(-third), LaurentPoly.constant(third)))])
+
+
 class TestLocalMonodromy:
     """holonomy's route through the local Frobenius basis at one simple
     pole, against parallel_transport, the general route and reference."""
@@ -850,6 +858,29 @@ class TestLocalMonodromy:
         with pytest.raises(PoleTooClose):
             holonomy(model_end_field(Fraction(1, 3)), [PathLoop.circle(0j, 1e-4)])
 
+    @pytest.mark.parametrize("shape, ccw", [
+        ("square", True), ("circle", True), ("square", False), ("circle", False)],
+        ids=["square", "circle", "square reversed", "circle reversed"])
+    def test_route_far_from_the_origin(self, shape, ccw):
+        # the sign of e^{∓2πiR} comes from the circle's sweep or the square's
+        # turns, which are differences of nearby points and do not cancel here
+        loop = (PathLoop.polygon([FAR + 1j ** k for k in range(4)]) if shape == "square"
+                else PathLoop.circle(FAR, 0.01))
+        if not ccw:
+            loop = loop.reverse()
+        got = connection._local_monodromy(_far_pole_field(), loop, DEFAULTS)
+        assert got is not None
+        w = cmath.exp((1 if ccw else -1) * 2j * math.pi / 3)
+        assert np.abs(got - np.diag([w, 1 / w])).max() <= 2 * DEFAULTS.atol
+
+    def test_small_square_far_from_the_origin_meets_the_closed_form(self):
+        # its fourth edge used to be dropped as already closed, and the three
+        # open edges gave a matrix 0.52 from the closed form
+        square = PathLoop.polygon([FAR + 0.01 * 1j ** k for k in range(4)])
+        (got,) = holonomy(_far_pole_field(), [square]).matrices
+        w = cmath.exp(2j * math.pi / 3)
+        assert np.abs(got - np.diag([w, 1 / w])).max() <= 2 * DEFAULTS.atol
+
     def test_weight_beyond_the_double_range_falls_back(self):
         # e^{-2πiR} cannot be formed within atol, so the transport decides
         theta = model_end_field(Fraction(10 ** 300))
@@ -913,6 +944,24 @@ class TestReportOnTuples:
         unitary, det, pairs = _numpy_defects(rep.matrices)
         assert rep.passes == (max(unitary + det) <= tol)
         assert rep.abelian == all(d <= tol for d in pairs)
+
+    @pytest.mark.parametrize("u", [np.eye(3), np.arange(4.0), np.eye(2)[:1]],
+                             ids=["3x3", "flat four", "one row"])
+    def test_only_2x2_matrices(self, u):
+        # each of these used to be read by its first four entries, or to
+        # raise IndexError
+        with pytest.raises(ValueError, match="shape"):
+            su2_defects(u)
+        with pytest.raises(ValueError, match="shape"):
+            report_from_matrices([u], 1e-8)
+        with pytest.raises(ValueError, match="shape"):
+            weight_from_holonomy(u)
+
+    def test_singular_generator_is_not_abelian(self):
+        # its commutator with any generator divided by zero
+        rep = report_from_matrices([np.zeros((2, 2)), np.eye(2)], 1e-8)
+        assert rep.commutator_defects == (math.inf,)
+        assert not rep.abelian and not rep.passes
 
 
 def _horner(a, z):

@@ -73,6 +73,40 @@ def test_every_private_name_is_loaded(path):
     assert not unused, f"{path.name}: private names never loaded {unused}"
 
 
+def _bound_names(body: list) -> dict[str, int]:
+    """Name -> line of each function, class or assignment target in a body."""
+    bound = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update((n.id, node.lineno) for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return bound
+
+
+def test_every_private_name_has_a_reader_in_the_package():
+    # a helper that a simplification leaves without a caller is dead, also
+    # one in a class body or read only from another module
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    unused = []
+    for name, tree in trees.items():
+        bodies = [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        unused += [f"{name}:{line} {b}" for body in bodies
+                   for b, line in _bound_names(body).items()
+                   if b.startswith("_") and not b.startswith("__") and b not in loaded]
+    assert not unused, f"private names that nothing in src/ reads: {unused}"
+
+
 def test_all_names_resolve():
     missing = [name for name in bryantlab.__all__
                if not hasattr(bryantlab, name)]
