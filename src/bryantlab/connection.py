@@ -21,6 +21,7 @@ A step from c to e sums that series for Φ, Φ(0) = I, at its midpoint m at
 both ends, each at most half way from m to the nearest pole and nearer where
 Θ is so large that the terms would cancel (_radius): Y(e) = Φ(e - m)·Φ(c - m)^-1·Y(c).
 A path's first chord is 2/3 of its start's pole distance, a later one ρ of the last m.
+A field's float N and den are read once, at first use (NotRepresentable then and after).
 
 holonomy takes a local route for a loop that bounds a convex disc around one simple
 pole p with non-resonant residue R = N(p)/den'(p): there the flat sections are
@@ -36,6 +37,7 @@ as the route's shape checks find them.  Too close to a pole, either route raises
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -84,6 +86,15 @@ class HiggsField:
 
     def value(self, z: complex) -> np.ndarray:
         return self.num.evaluate(z) / self.den(complex(z))
+
+    @functools.cached_property
+    def _floats(self) -> tuple[tuple[tuple[complex, ...], ...], tuple[complex, ...]]:
+        """N's entries (>= deg(den) coefficients each) and den as doubles, read at first
+        use; a coefficient beyond the double range raises NotRepresentable at every use."""
+        ents, den = self.num.entries, self.den
+        hi = max([p.degree() for p in ents if not p.is_zero] + [den.degree() - 1])
+        return (tuple(tuple(p.float_coeffs(0, hi)) for p in ents),
+                tuple(den.float_coeffs(0, den.degree())))
 
     def to_json(self) -> dict:
         return {"numerator": self.num.to_json(), "denominator": self.den.to_json()}
@@ -471,18 +482,17 @@ def _taylor_step(n: list, d: list, y: tuple, a: complex, b: complex,
             cut = scale / gain
 
 
-def _prelude(theta: HiggsField, path: Path, controls: NumericControls) -> tuple[list, list]:
-    """PoleTooClose unless the path keeps pole_clearance from every pole; then
-    the float coefficients of N's entries (>= deg(den) terms each) and of den."""
+def _prelude(theta: HiggsField, path: Path, controls: NumericControls) -> tuple[tuple, tuple]:
+    """PoleTooClose unless the path keeps pole_clearance from every pole; then the
+    field's float coefficients of N's entries and of den, read once per field
+    (NotRepresentable here, on each call, if one exceeds the double range)."""
     for p in theta.poles:
         d = path.min_distance(p)
         if d < controls.pole_clearance * (1 - 1e-12):
             raise PoleTooClose(
                 f"path comes within {d:.3e} of pole {p!r} "
                 f"(clearance {controls.pole_clearance:.3e})")
-    ents, den = theta.num.entries, theta.den
-    hi = max([p.degree() for p in ents if not p.is_zero] + [den.degree() - 1])
-    return [p.float_coeffs(0, hi) for p in ents], den.float_coeffs(0, den.degree())
+    return theta._floats
 
 
 def parallel_transport(theta: HiggsField, path: Path,
@@ -603,8 +613,10 @@ def su2_defects(u: np.ndarray) -> tuple[float, float]:
 
 def report_from_matrices(mats: Sequence[np.ndarray],
                          su2_tol: float) -> HolonomyReport:
-    """Assemble a HolonomyReport from already-transported 2x2 generators."""
+    """A HolonomyReport from already-transported 2x2 generators, at least one (else ValueError)."""
     mats = tuple(np.asarray(m, dtype=complex) for m in mats)
+    if not mats:
+        raise ValueError("at least one loop is required")
     xs = [_entries(m) for m in mats]
     defects = [_defects(x) for x in xs]
     unitary, det = tuple(d[0] for d in defects), tuple(d[1] for d in defects)
@@ -668,10 +680,6 @@ def _local_monodromy(theta: HiggsField, loop: PathLoop,
     def norm(x):   # the largest row sum, so |I| = 1
         return max(abs(x[0]) + abs(x[1]), abs(x[2]) + abs(x[3]))
 
-    def ad(x0, x1, x2, x3):   # R·X - X·R
-        return (r1 * x2 - x1 * r2, r0 * x1 + r1 * x3 - x0 * r1 - x1 * r3,
-                r2 * x0 + r3 * x2 - x2 * r0 - x3 * r2, r2 * x1 - x2 * r1)
-
     de = _FLOOR * (1 + abs(th)) * (abs(c) + abs(si) * norm(r))   # E's rounding
     rho = min([abs(x - p) for x in theta.poles if x != p] + [_radius([x for x, _ in pq], q)])
     rw = min(abs(b - p), rho / _FAR)
@@ -718,16 +726,22 @@ def _local_monodromy(theta: HiggsField, loop: PathLoop,
             a0, a1 = a0 + (p0 + v) * y0 + p1 * y2, a1 + (p0 + v) * y1 + p1 * y3
             a2, a3 = a2 + p2 * y0 + (p3 + v) * y2, a3 + p2 * y1 + (p3 + v) * y3
             z0, z1, z2, z3 = z0 + qj * y0, z1 + qj * y1, z2 + qj * y2, z3 + qj * y3
-        u0, u1, u2, u3 = ad(z0, z1, z2, z3)
-        h = (-a0 - u0, -a1 - u1, -a2 - u2, -a3 - u3)
-        hh = ad(*h)   # (k + ad R)^-1 Y = Y/k - ad Y/dk + ad² Y/(k dk)
-        term = tuple(u / k - v / dk + x / (k * dk) for u, v, x in zip(h, hh, ad(*hh)))
-        size = sum(map(abs, term))
+        # h = -a - ad Z, ad X = R·X - X·R; (k + ad R)^-1 h = h/k - ad h/dk + ad² h/(k dk)
+        h0, h1 = -a0 - (r1 * z2 - z1 * r2), -a1 - (r0 * z1 + r1 * z3 - z0 * r1 - z1 * r3)
+        h2, h3 = -a2 - (r2 * z0 + r3 * z2 - z2 * r0 - z3 * r2), -a3 - (r2 * z1 - z2 * r1)
+        v0, v1 = r1 * h2 - h1 * r2, r0 * h1 + r1 * h3 - h0 * r1 - h1 * r3
+        v2, v3 = r2 * h0 + r3 * h2 - h2 * r0 - h3 * r2, r2 * h1 - h2 * r1
+        kd = k * dk
+        t0 = h0 / k - v0 / dk + (r1 * v2 - v1 * r2) / kd
+        t1 = h1 / k - v1 / dk + (r0 * v1 + r1 * v3 - v0 * r1 - v1 * r3) / kd
+        t2 = h2 / k - v2 / dk + (r2 * v0 + r3 * v2 - v2 * r0 - v3 * r2) / kd
+        t3 = h3 / k - v3 / dk + (r2 * v1 - v2 * r1) / kd
+        size = abs(t0) + abs(t1) + abs(t2) + abs(t3)
         if not math.isfinite(size):
             return None
-        terms.append(term)
+        terms.append((t0, t1, t2, t3))
         sizes.append(size)
-        y = tuple(u + v for u, v in zip(y, term))
+        y = (y[0] + t0, y[1] + t1, y[2] + t2, y[3] + t3)
 
 
 def holonomy(theta: HiggsField, loops: Sequence[PathLoop],
@@ -743,8 +757,6 @@ def holonomy(theta: HiggsField, loops: Sequence[PathLoop],
     holds the commutator defect of each pair of generators.  At least one
     loop is required (ValueError otherwise).
     """
-    if not loops:
-        raise ValueError("at least one loop is required")
     mats = [m if (m := _local_monodromy(theta, lp, controls)) is not None
             else parallel_transport(theta, lp, controls) for lp in loops]
     return report_from_matrices(mats, controls.su2_tol)

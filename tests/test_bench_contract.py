@@ -4,8 +4,9 @@ bench/ imports names from bryantlab and wraps others by name, so a
 refactor of src/ can break the benchmark without breaking any other
 test.  These checks import the harness, install and remove its span
 wrappers, and run the first job of each kind through its oracle.  Reference
-copies of earlier transport kernels run beside the current ones on the
-bench's holonomy rounds and on random fields, and must give the same bits.
+copies of earlier transport kernels and of the local holonomy route run
+beside the current ones on the bench's holonomy rounds and on random
+fields, and must give the same bits.
 """
 
 import cmath
@@ -24,8 +25,9 @@ from hypothesis import strategies as st
 
 from bryantlab import connection
 from bryantlab.connection import (HiggsField, PathLoop, model_end_field,
-                                  parallel_transport)
-from bryantlab.errors import ToleranceNotMet
+                                  parallel_transport, simple_pole_field)
+from bryantlab.defaults import DEFAULTS
+from bryantlab.errors import BryantLabError, ToleranceNotMet
 from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -327,6 +329,232 @@ def test_transport_kernels_match_on_random_fields(coeffs, poles, radius, angle):
         except ToleranceNotMet:
             pass   # the calls made before it still count
     assert series and radii and all(series) and all(radii)
+
+
+def _reference_local_monodromy(theta, loop, controls, tally):
+    """_local_monodromy as it was with R·X - X·R in a nested closure and each
+    term built by generators: the route must give the same bits.  Appends 1
+    to tally for each Frobenius term it sums."""
+    c_ = connection
+    atol, segs = controls.atol, loop.segments
+    if len(theta.poles) != theta.den.degree():   # a multiple pole
+        return None
+    if len(segs) == 1 and isinstance(segs[0], c_.ArcSegment):   # one full circle
+        a = segs[0]
+        sign = 1 if a.angle1 > a.angle0 else -1
+        ulp = math.ulp(max(abs(a.angle0), abs(a.angle1)))
+        if abs(a.angle1 - a.angle0 - sign * 2 * math.pi) > 4 * ulp:
+            return None
+        inside = [x for x in theta.poles if abs(x - a.center) < a.radius]
+    elif len(segs) >= 3 and all(isinstance(s, c_.LineSegment) for s in segs):
+        edges = [s.end - s.start for s in segs]
+        turns = [e.conjugate() * f for e, f in zip(edges, edges[1:] + edges[:1])]
+        sign = 1 if turns[0].imag > 0 else -1
+        if (any(s.end != t.start for s, t in zip(segs, segs[1:] + segs[:1]))
+                or not all(sign * t.imag > 0 for t in turns)
+                or abs(sum(map(cmath.phase, turns)) - sign * 2 * math.pi) > 1):
+            return None
+        inside = [x for x in theta.poles if all(
+            sign * (e.conjugate() * (x - s.start)).imag > 0 for e, s in zip(edges, segs))]
+    else:
+        return None
+    if len(inside) != 1:
+        return None
+    p, b = inside[0], loop.base
+    cols, d = c_._prelude(theta, loop, controls)
+    n, q = list(zip(*(c_._shift(col, p) for col in cols))), c_._shift(d, p)[1:]
+    if not q[0]:
+        return None
+    r0, r1, r2, r3 = r = tuple(x / q[0] for x in n[0])
+    pq = [(tuple(x - y * qj for x, y in zip(nj, r)), qj)
+          for nj, qj in zip(n[1:], q[1:] + [0j] * len(n))]
+    mu = r1 * r2 - r0 * r3
+    lam = cmath.sqrt(mu)
+    th = 2 * math.pi * lam
+    if not (abs(th) * c_._FLOOR <= atol and abs(th.imag) < 700):
+        return None
+    c, si = cmath.cos(th), -1j * sign * (cmath.sin(th) / lam if lam else 2 * math.pi)
+    e = (c + si * r0, si * r1, si * r2, c + si * r3)
+
+    def norm(x):
+        return max(abs(x[0]) + abs(x[1]), abs(x[2]) + abs(x[3]))
+
+    def ad(x0, x1, x2, x3):   # R·X - X·R
+        return (r1 * x2 - x1 * r2, r0 * x1 + r1 * x3 - x0 * r1 - x1 * r3,
+                r2 * x0 + r3 * x2 - x2 * r0 - x3 * r2, r2 * x1 - x2 * r1)
+
+    de = c_._FLOOR * (1 + abs(th)) * (abs(c) + abs(si) * norm(r))
+    rho = min([abs(x - p) for x in theta.poles if x != p]
+              + [c_._radius([x for x, _ in pq], q)])
+    rw = min(abs(b - p), rho / c_._FAR)
+    if not rw >= controls.pole_clearance:
+        return None
+    b1, t, dt = b, (1 + 0j, 0j, 0j, 1 + 0j), 0.0
+    if rw < abs(b - p):
+        b1 = p + rw * (b - p) / abs(b - p)
+        try:
+            t = c_._entries(parallel_transport(theta, c_.Path.polyline([b, b1]),
+                                               controls.with_(atol=atol / c_._SHARE)))
+        except ToleranceNotMet:
+            return None
+        dt = 4 * atol / c_._SHARE * max(1.0, *map(abs, t))
+    ti, w = c_._inv(t), b1 - p
+    nt = norm(t) * norm(ti)
+    coef = [(*(x * wj / q[0] for x in pj), qj * wj / q[0])
+            for j, (pj, qj) in enumerate(pq, 1) for wj in [w ** j]]
+    K, g = len(coef), rw / rho / (1 - rw / rho)
+    y, sizes, cut = (1 + 0j, 0j, 0j, 1 + 0j), [2.0], max(atol / c_._SHARE, c_._FLOOR)
+    terms = [y]
+    for k in itertools.count(1):
+        if sizes[-1] * g <= cut and (eps := g * max(sizes[-K or -1:])) <= cut:
+            yi = c_._inv(y)
+            x = c_._mul(c_._mul(y, e), yi)
+            m = c_._mul(c_._mul(ti, x), t)
+            scale = 2 * atol * max(1.0, *map(abs, m))
+            fixed = nt * norm(y) * norm(yi) * de + 2 * norm(m) * norm(ti) * dt
+            per = 2 * nt * norm(yi) * norm(x)
+            if fixed + per * (eps + c_._FLOOR * sum(sizes)) <= scale:
+                return np.array(m, dtype=complex).reshape(2, 2)
+            cut = (scale - fixed) / per - c_._FLOOR * sum(sizes)
+            if not cut > 0:
+                return None
+        dk = k * k - 4 * mu
+        if not abs(dk) > 1e-8 * k * k:
+            return None
+        a0 = a1 = a2 = a3 = z0 = z1 = z2 = z3 = 0j
+        i = k
+        for p0, p1, p2, p3, qj in (coef if k >= K else coef[:k]):
+            i -= 1
+            y0, y1, y2, y3 = terms[i]
+            v = qj * i
+            a0, a1 = a0 + (p0 + v) * y0 + p1 * y2, a1 + (p0 + v) * y1 + p1 * y3
+            a2, a3 = a2 + p2 * y0 + (p3 + v) * y2, a3 + p2 * y1 + (p3 + v) * y3
+            z0, z1, z2, z3 = z0 + qj * y0, z1 + qj * y1, z2 + qj * y2, z3 + qj * y3
+        u0, u1, u2, u3 = ad(z0, z1, z2, z3)
+        h = (-a0 - u0, -a1 - u1, -a2 - u2, -a3 - u3)
+        hh = ad(*h)
+        term = tuple(u / k - v / dk + x / (k * dk) for u, v, x in zip(h, hh, ad(*hh)))
+        size = sum(map(abs, term))
+        tally.append(1)
+        if not math.isfinite(size):
+            return None
+        terms.append(term)
+        sizes.append(size)
+        y = tuple(u + v for u, v in zip(y, term))
+
+
+def _bits(call, *args):
+    """repr of a route's result, its entries row-major (repr keeps the sign
+    of a zero), or of the class of the error it raised."""
+    try:
+        m = call(*args)
+    except (BryantLabError, ArithmeticError) as exc:
+        return repr(type(exc))
+    return repr(None if m is None else m.ravel().tolist())
+
+
+@contextlib.contextmanager
+def _route_beside_reference():
+    """Run _reference_local_monodromy beside every call of _local_monodromy;
+    yields (same, tally): one bool per call, True where both agree bit for
+    bit, and one entry per Frobenius term the reference summed."""
+    same, tally, route = [], [], connection._local_monodromy
+
+    def checked(theta, loop, controls):
+        m = route(theta, loop, controls)
+        same.append(repr(None if m is None else m.ravel().tolist())
+                    == _bits(_reference_local_monodromy, theta, loop, controls, tally))
+        return m
+
+    connection._local_monodromy = checked
+    try:
+        yield same, tally
+    finally:
+        connection._local_monodromy = route
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_route_matches_its_reference_copy(bench, tmp_path, seed):
+    # every loop of a holonomy round takes the route; the number of terms,
+    # which a bit-identical kernel leaves unchanged, is pinned
+    _, _, workloads = bench
+    with _route_beside_reference() as (same, tally):
+        for theta, loop in _holonomy_round(workloads, tmp_path, seed):
+            connection.holonomy(theta, [loop])
+    assert len(same) == 14 and all(same)
+    assert len(tally) == 203
+
+
+def test_two_pole_call_reads_the_coefficients_once(bench, tmp_path, monkeypatch):
+    # 8 loops and 6 connectors each read N's four entries and den (70 reads
+    # when each read them again); the field's copy is shared and immutable
+    _, _, workloads = bench
+    workloads.build("holonomy", 7, str(tmp_path))
+    data = json.loads((tmp_path / "two_pole.json").read_text())
+    loops = json.loads((tmp_path / "two_pole_loops.json").read_text())["loops"]
+    theta, loops = HiggsField.from_json(data), [PathLoop.from_json(lp) for lp in loops]
+    reads, read = [], LaurentPoly.float_coeffs
+    monkeypatch.setattr(LaurentPoly, "float_coeffs",
+                        lambda self, lo, hi: reads.append(1) or read(self, lo, hi))
+    connection.holonomy(theta, loops)
+    assert len(reads) == 5
+    cols, d = theta._floats
+    hi = len(cols[0]) - 1
+    assert cols == tuple(tuple(read(p, 0, hi)) for p in theta.num.entries)
+    assert d == tuple(read(theta.den, 0, theta.den.degree()))
+    assert all(type(x) is tuple for x in (cols, d, *cols))
+
+
+def _residue_field(poles):
+    """Θ = Σ R_i dz/(z - p_i) from (p_i, (a, b, c)) with R_i = [[a, b], [c, -a]]."""
+    return simple_pole_field([
+        (p, LaurentMatrix(*(LaurentPoly.constant(x) for x in (a, b, c)),
+                          LaurentPoly.constant(-a))) for p, (a, b, c) in poles])
+
+
+@pytest.mark.parametrize("theta, loop, atol", [
+    (_residue_field([(0, (0, 1, 0)), (1, (Fraction(1, 4), 0, 0))]),
+     PathLoop.circle(0.5 + 0j, 1.5), 1e-12),
+    (_residue_field([(0, (Fraction(-1, 2), 0, 0)), (3, (0, Fraction(1, 4), Fraction(1, 4)))]),
+     PathLoop.circle(0j, 1.0), 1e-12),
+    (_residue_field([(0, (0, 1, 0))]), PathLoop.circle(0j, 1.0), 1e-18),
+], ids=["off the route", "resonant", "missing the estimate"])
+def test_route_declines_as_its_reference_copy_does(theta, loop, atol):
+    # both poles inside; k + ad R singular at k = 1; R nilpotent, so E is
+    # formed, but its rounding alone exceeds 2·atol
+    controls = DEFAULTS.with_(atol=atol)
+    with _route_beside_reference() as (same, _):
+        assert connection._local_monodromy(theta, loop, controls) is None
+    assert same == [True]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_QUARTERS, st.tuples(_QUARTERS, _QUARTERS, _QUARTERS)),
+                min_size=1, max_size=3, unique_by=lambda x: x[0]),
+       st.integers(0, 2), st.sampled_from([0.3, 0.6, 0.9, 1.5]),
+       st.sampled_from([0, 3, 4, 5, 8]), st.booleans(), st.floats(0, 2 * math.pi),
+       st.floats(0, 2 * math.pi), st.sampled_from([1e-10, 1e-12, 1e-14]))
+def test_route_matches_its_reference_copy_on_random_fields(
+        poles, index, frac, sides, ccw, base_angle, shift_angle, atol):
+    # simple poles with residues in Q(i); a circle (sides = 0) or a regular
+    # polygon, either way round, of radius frac·ρ about a centre 0.1 of the
+    # radius off one pole, ρ the distance to the next; at frac = 1.5 it may
+    # hold two poles or pass too near one, and the smaller atols may be missed:
+    # the route must then decline or raise as its reference copy does
+    assume(any(a or b or c for _, (a, b, c) in poles))
+    theta = _residue_field(poles)
+    p = theta.poles[index % len(theta.poles)]
+    radius = frac * min([abs(x - p) for x in theta.poles if x != p], default=2.0)
+    centre = p + 0.1 * radius * cmath.exp(1j * shift_angle)
+    if sides:
+        turn = (1 if ccw else -1) * 2 * math.pi / sides
+        loop = PathLoop.polygon([centre + radius * cmath.exp(1j * (base_angle + k * turn))
+                                 for k in range(sides)])
+    else:
+        loop = PathLoop.circle(centre, radius, base_angle, ccw)
+    controls = DEFAULTS.with_(atol=atol)
+    got = _bits(connection._local_monodromy, theta, loop, controls)
+    assert got == _bits(_reference_local_monodromy, theta, loop, controls, [])
 
 
 @pytest.mark.parametrize("seed", [0, 7, 8])

@@ -25,8 +25,8 @@ from bryantlab.connection import (ArcSegment, HiggsField, LineSegment, Path,
                                   su2_defects)
 from bryantlab.defaults import DEFAULTS
 from bryantlab.ends import weight_from_holonomy
-from bryantlab.errors import (NotNull, NotSpecial, PoleTooClose,
-                              ToleranceNotMet)
+from bryantlab.errors import (NotNull, NotRepresentable, NotSpecial,
+                              PoleTooClose, ToleranceNotMet)
 from bryantlab.frames import catalog
 from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
 from conftest import gaussian_rationals, laurent_polys, trace_free_matrices
@@ -142,6 +142,18 @@ class TestHiggsField:
         assert theta == model and theta.den == Z
         assert np.array_equal(parallel_transport(theta, unit_circle()),
                               parallel_transport(model, unit_circle()))
+
+    def test_coefficient_beyond_the_double_range_raises_at_each_use(self):
+        # the field constructs; its float coefficients are read at first use,
+        # and NotRepresentable is raised there and again at every later use
+        big = LaurentPoly.constant(10 ** 400)
+        theta = HiggsField(LaurentMatrix.diagonal(big, -big), Z)
+        assert theta.poles == (0j,)
+        for _ in range(2):
+            with pytest.raises(NotRepresentable, match="exceeds the double range"):
+                parallel_transport(theta, unit_circle())
+        with pytest.raises(NotRepresentable):
+            holonomy(theta, [unit_circle()])
 
     def test_json_round_trip(self):
         at_i = GaussianRational(Fraction(0), Fraction(1))
@@ -956,6 +968,11 @@ class TestReportOnTuples:
             report_from_matrices([u], 1e-8)
         with pytest.raises(ValueError, match="shape"):
             weight_from_holonomy(u)
+
+    def test_no_generators_is_refused(self):
+        # it used to report no matrices as "passes" and abelian
+        with pytest.raises(ValueError, match="at least one loop"):
+            report_from_matrices([], 1e-8)
 
     def test_singular_generator_is_not_abelian(self):
         # its commutator with any generator divided by zero
