@@ -63,7 +63,7 @@ def _load(path: str, kind: str, build):
     data = _read_json(path)
     try:
         return build(data)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"{path} is not a {kind} file: {exc}") from exc
 
 

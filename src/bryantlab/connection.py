@@ -44,12 +44,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
 from .defaults import DEFAULTS, NumericControls
 from .errors import NotNull, NotSpecial, PoleTooClose, ToleranceNotMet
 from .frames import BryantFrame, laurent_roots
-from .series import (CoeffLike, GaussianRational, LaurentMatrix, LaurentPoly,
+from .series import (CoeffLike, GaussianRational, LaurentMatrix, LaurentPoly, Matrix2,
                      json_float, json_point, poly_gcd)
 
 _ONE = LaurentPoly.one()
@@ -84,8 +82,9 @@ class HiggsField:
             laurent_roots(den if g == _ONE else den // g),
             key=lambda w: (abs(w), w.real, w.imag))))
 
-    def value(self, z: complex) -> np.ndarray:
-        return self.num.evaluate(z) / self.den(complex(z))
+    def value(self, z: complex) -> Matrix2:
+        d = self.den(complex(z))
+        return tuple((x / d, y / d) for x, y in self.num.evaluate(z))
 
     @functools.cached_property
     def _floats(self) -> tuple[tuple[tuple[complex, ...], ...], tuple[complex, ...]]:
@@ -234,13 +233,13 @@ class LineSegment:
 
     def min_distance(self, w: complex) -> float:
         a, b = self.start - w, self.end - w
-        if not 0 < -(a * (b - a).conjugate()).real < abs(b - a) ** 2:
+        if not 0 < -(a * (b - a).conjugate()).real < (d := abs(b - a)) * d:
             return min(abs(a), abs(b))
         # the foot is inside: |a × b| / |b - a|, a × b exact over s² (it cancels near a far pole)
         r = [x.as_integer_ratio() for z in (self.start, self.end, w) for x in (z.real, z.imag)]
         s = max(q for _, q in r)
         x0, y0, x1, y1, u, v = [n * (s // q) for n, q in r]
-        return abs((x0 - u) * (y1 - v) - (y0 - v) * (x1 - u)) / (s * s) / abs(b - a)
+        return abs((x0 - u) * (y1 - v) - (y0 - v) * (x1 - u)) / (s * s) / d
 
     def to_json(self) -> dict:
         return {"kind": "line",
@@ -496,7 +495,7 @@ def _prelude(theta: HiggsField, path: Path, controls: NumericControls) -> tuple[
 
 
 def parallel_transport(theta: HiggsField, path: Path,
-                       controls: NumericControls = DEFAULTS) -> np.ndarray:
+                       controls: NumericControls = DEFAULTS) -> Matrix2:
     """Y(1) for dY = -Θ(z) dz Y along the path, Y(0) = I.
 
     The path must keep distance >= pole_clearance from every pole of the
@@ -507,11 +506,11 @@ def parallel_transport(theta: HiggsField, path: Path,
     share its fraction of the path length; 4·eps floors summing past atol
     raise ToleranceNotMet, so the tails of a path sum to <= 2·atol·max(1, |Y|).
     """
-    cols, d = _prelude(theta, path, controls)
-    length = _length(path.segments)
     y, steps = (1 + 0j, 0j, 0j, 1 + 0j), 0
-    rho = 2 / 3 * min([abs(path.start - p) for p in theta.poles], default=math.inf)
     try:
+        cols, d = _prelude(theta, path, controls)
+        length = _length(path.segments)
+        rho = 2 / 3 * min([abs(path.start - p) for p in theta.poles], default=math.inf)
         for seg in path.segments:
             speed = abs(seg.velocity(0.0))
             t, c = (0.0 if speed else 1.0), seg.at(0.0)
@@ -536,8 +535,8 @@ def parallel_transport(theta: HiggsField, path: Path,
                 y = _taylor_step(nm, dm, y, c - m, e - m, half / rho, share * controls.atol)
                 t, c = t_next, e
     except OverflowError:
-        raise ToleranceNotMet("transport leaves the double range") from None
-    return np.array(y, dtype=complex).reshape(2, 2)
+        raise ToleranceNotMet("the path or its transport leaves the double range") from None
+    return (y[0], y[1]), (y[2], y[3])
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +553,7 @@ class HolonomyReport:
     is within tolerance.
     """
 
-    matrices: tuple[np.ndarray, ...]
+    matrices: tuple[Matrix2, ...]
     unitary_defects: tuple[float, ...]
     det_defects: tuple[float, ...]
     passes: bool
@@ -568,8 +567,7 @@ class HolonomyReport:
 
     def to_json(self) -> dict:
         return {
-            "matrices": [[[ [x.real, x.imag] for x in row] for row in m.tolist()]
-                         for m in self.matrices],
+            "matrices": [[[[x.real, x.imag] for x in row] for row in m] for m in self.matrices],
             "unitary_defects": list(self.unitary_defects),
             "det_defects": list(self.det_defects),
             "verdict": self.verdict,
@@ -591,11 +589,12 @@ def _defects(x: tuple) -> tuple[float, float]:
 
 
 def _entries(u) -> tuple:
-    """A 2x2 matrix's entries, row-major, as a 4-tuple; ValueError on any other shape."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    return tuple(u.ravel().tolist())
+    """((a, b), (c, d)), rows of any sequence type, as complex (a, b, c, d); else ValueError."""
+    try:
+        (a, b), (c, d) = u
+        return complex(a), complex(b), complex(c), complex(d)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a 2x2 matrix, got another shape: {u!r}") from None
 
 
 def _commutator_defect(x: tuple, y: tuple) -> float:
@@ -606,24 +605,22 @@ def _commutator_defect(x: tuple, y: tuple) -> float:
         return math.inf
 
 
-def su2_defects(u: np.ndarray) -> tuple[float, float]:
+def su2_defects(u) -> tuple[float, float]:
     """(||U U* - I||_F, |det U - 1|) of a 2x2 matrix."""
     return _defects(_entries(u))
 
 
-def report_from_matrices(mats: Sequence[np.ndarray],
-                         su2_tol: float) -> HolonomyReport:
+def report_from_matrices(mats: Sequence, su2_tol: float) -> HolonomyReport:
     """A HolonomyReport from already-transported 2x2 generators, at least one (else ValueError)."""
-    mats = tuple(np.asarray(m, dtype=complex) for m in mats)
-    if not mats:
-        raise ValueError("at least one loop is required")
     xs = [_entries(m) for m in mats]
+    if not xs:
+        raise ValueError("at least one loop is required")
     defects = [_defects(x) for x in xs]
     unitary, det = tuple(d[0] for d in defects), tuple(d[1] for d in defects)
     passes = all(u <= su2_tol for u in unitary) and all(d <= su2_tol for d in det)
     pair_defects = tuple(_commutator_defect(x, y) for x, y in itertools.combinations(xs, 2))
-    return HolonomyReport(matrices=mats, unitary_defects=unitary,
-                          det_defects=det, passes=passes, tol=su2_tol,
+    return HolonomyReport(matrices=tuple(((a, b), (c, d)) for a, b, c, d in xs),
+                          unitary_defects=unitary, det_defects=det, passes=passes, tol=su2_tol,
                           commutator_defects=pair_defects,
                           abelian=all(d <= su2_tol for d in pair_defects))
 
@@ -632,7 +629,7 @@ _FAR, _SHARE = 3, 64   # b′ within ρ/_FAR of p; the connector and G's tail at
 
 
 def _local_monodromy(theta: HiggsField, loop: PathLoop,
-                     controls: NumericControls) -> np.ndarray | None:
+                     controls: NumericControls) -> Matrix2 | None:
     """T⁻¹·G(b′)·e^{∓2πiR}·G(b′)⁻¹·T (module docstring), − for a positive sweep or left
     turns; None off the route or where the error estimate exceeds 2·atol·max(1, |M|).
     A loop on the route that comes too close to a pole raises PoleTooClose here."""
@@ -710,7 +707,7 @@ def _local_monodromy(theta: HiggsField, loop: PathLoop,
             fixed = nt * norm(y) * norm(yi) * de + 2 * norm(m) * norm(ti) * dt
             per = 2 * nt * norm(yi) * norm(x)   # |δM| per |δG|
             if fixed + per * (eps + _FLOOR * sum(sizes)) <= scale:   # tail and rounding
-                return np.array(m, dtype=complex).reshape(2, 2)
+                return (m[0], m[1]), (m[2], m[3])
             cut = (scale - fixed) / per - _FLOOR * sum(sizes)
             if not cut > 0:
                 return None   # no number of terms meets atol
@@ -752,11 +749,14 @@ def holonomy(theta: HiggsField, loops: Sequence[PathLoop],
     simple with a non-resonant residue, takes the local route (module
     docstring; its sign from the sweep or turns); every other loop, and one
     whose error estimate misses the bound, is transported.  Either way M is
-    within 2·atol·max(1, |M|); a loop too close to a pole raises PoleTooClose.
-    Every defect is judged against ``controls.su2_tol``; the report also
-    holds the commutator defect of each pair of generators.  At least one
-    loop is required (ValueError otherwise).
+    within 2·atol·max(1, |M|); a loop too close to a pole raises PoleTooClose,
+    one whose distances leave the double range ToleranceNotMet.  Every defect
+    is judged against ``controls.su2_tol``; the report also holds the commutator
+    defect of each pair of generators.  At least one loop is required (ValueError).
     """
-    mats = [m if (m := _local_monodromy(theta, lp, controls)) is not None
-            else parallel_transport(theta, lp, controls) for lp in loops]
+    try:
+        mats = [m if (m := _local_monodromy(theta, lp, controls)) is not None
+                else parallel_transport(theta, lp, controls) for lp in loops]
+    except OverflowError:   # in the local route's distances
+        raise ToleranceNotMet("a loop leaves the double range") from None
     return report_from_matrices(mats, controls.su2_tol)

@@ -1,10 +1,10 @@
 """The numeric controls a user tunes.
 
 NumericControls holds every tolerance and step a user may set, so a job
-is reproducible from one record.  Fixed thresholds that no user tunes
-(path closure, the branch-point search's region slack, the transport's
-rounding floor, the Minkowski point check) are private constants or
-literals next to their single user.  The exact (rational) layer has no knobs.
+is reproducible from one record.  Fixed thresholds that no user tunes (path
+closure, the root finder's sweep cap, the branch-point search's region slack,
+the transport's rounding floor, the Minkowski point check) are private constants
+or literals next to their single user.  The exact (rational) layer has no knobs.
 Each field must be positive and finite; NumericControls raises ValueError
 otherwise, so a NaN or a negative tolerance never reaches the integrator.
 Each field is also a flag (--su2-tol for su2_tol) of the CLI subcommand

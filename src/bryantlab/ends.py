@@ -32,9 +32,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .connection import HiggsField, model_end_field, su2_defects
+from .connection import HiggsField, _defects, _entries, model_end_field
 from .defaults import DEFAULTS
 from .errors import HypothesisViolated, NotUnitary, TrivialHolonomy
 from .series import GaussianRational, LaurentMatrix, LaurentPoly
@@ -139,25 +137,26 @@ def _pole_bound(end: SingularEnd, n: int, det: LaurentPoly,
                       passes=pole <= bound)
 
 
-def weight_from_holonomy(u: np.ndarray) -> Fraction | float:
+def weight_from_holonomy(u) -> Fraction | float:
     """Recover the weight α in [0, 1) from a transport matrix.
 
     The matrix must be unitary within DEFAULTS.su2_tol (NotUnitary
     otherwise, also for a NaN entry); its eigenvalue on the
     eigenvector closest to e1 (the flag line of the model end) is
     e^{2πiα}, which pins down α without folding α and 1 - α together.
+    It is the eigenvalue nearest u_00 = λ_1|v_1[0]|² + λ_2|v_2[0]|².
     Returns an exact Fraction when a rational with denominator at most
     10^6 reproduces the angle to 1e-9, else the raw float (the return
     type is the flag).
     """
-    u = np.asarray(u, dtype=complex)
-    defect = su2_defects(u)[0]
+    x = a, b, c, d = _entries(u)
+    defect = _defects(x)[0]
     tol = DEFAULTS.su2_tol
     if not defect <= tol:
         raise NotUnitary(f"unitary defect {defect:.3e} exceeds {tol:.3e}")
-    vals, vecs = np.linalg.eig(u)
-    first = max(range(len(vals)), key=lambda i: abs(vecs[0, i]))
-    value = cmath.phase(vals[first]) % (2 * math.pi) / (2 * math.pi)
+    lam = cmath.sqrt((a - d) ** 2 / 4 + b * c)
+    first = min((a + d) / 2 + lam, (a + d) / 2 - lam, key=lambda v: abs(v - a))
+    value = cmath.phase(first) % (2 * math.pi) / (2 * math.pi)
     alpha = Fraction(value).limit_denominator(_MAX_DENOMINATOR)
     if alpha == 1:
         alpha = Fraction(0)
@@ -187,32 +186,30 @@ def local_parabolic(end: SingularEnd) -> LocalParabolicStructure:
     return LocalParabolicStructure(weight=end.alpha, flag=(1 + 0j, 0j))
 
 
-def residue_parabolic(gamma: np.ndarray) -> LocalParabolicStructure:
+def residue_parabolic(gamma) -> LocalParabolicStructure:
     """Parabolic structure of a diagonalizable residue matrix Γ.
 
-    Entries must be finite and eigenvalues ±α real to 1e-10; the flag is
-    the eigenvector of +α.
+    Entries must be finite and eigenvalues ±α real to 1e-10, α = √((a - d)²/4 + bc)
+    for Γ = [[a, b], [c, d]]; the flag is the eigenvector of +α, the longer of
+    (b, α - a) and (α - d, c).
     """
-    gamma = np.asarray(gamma, dtype=complex)
-    if not np.isfinite(gamma).all():
+    a, b, c, d = _entries(gamma)
+    if not all(map(cmath.isfinite, (a, b, c, d))):
         raise ValueError("residue has a non-finite entry")
-    vals, vecs = np.linalg.eig(gamma)
-    if abs(vals[0] + vals[1]) > _RESIDUE_TOL:
+    if abs(a + d) > _RESIDUE_TOL:
         raise ValueError("residue is not trace-free")
-    if max(abs(vals[0].imag), abs(vals[1].imag)) > _RESIDUE_TOL:
+    lam = cmath.sqrt((a - d) ** 2 / 4 + b * c)
+    if abs(lam.imag) > _RESIDUE_TOL:
         raise ValueError("residue eigenvalues are not real")
-    alpha = max(vals[0].real, vals[1].real)
+    alpha = lam.real   # >= 0, cmath.sqrt's branch
     if alpha <= _RESIDUE_TOL:
         raise TrivialHolonomy("residue has no positive eigenvalue")
-    idx = 0 if vals[0].real >= vals[1].real else 1
-    v = vecs[:, idx]
-    v = v / np.linalg.norm(v)
-    # rotate the largest entry onto the positive real axis
-    lead = v[0] if abs(v[0]) >= abs(v[1]) else v[1]
-    v = v * (abs(lead) / lead)
+    v = max((b, alpha - a), (alpha - d, c), key=lambda v: math.hypot(abs(v[0]), abs(v[1])))
+    lead = max(v, key=abs)   # rotated onto the positive real axis
+    rot = abs(lead) / lead / math.hypot(abs(v[0]), abs(v[1]))
     return LocalParabolicStructure(
-        weight=Fraction(float(alpha)).limit_denominator(_MAX_DENOMINATOR),
-        flag=(complex(v[0]), complex(v[1])))
+        weight=Fraction(alpha).limit_denominator(_MAX_DENOMINATOR),
+        flag=(v[0] * rot, v[1] * rot))
 
 
 def hermitian_pairing(end: SingularEnd,

@@ -37,7 +37,7 @@ class PoleTooClose(BryantLabError):
 
 
 class ToleranceNotMet(BryantLabError):
-    """Transport cannot meet its tolerance in double precision."""
+    """Transport or root finding cannot meet its tolerance in double precision."""
 
 
 class NotNull(BryantLabError):

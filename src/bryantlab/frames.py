@@ -7,7 +7,8 @@ the zero set of A' is the branch locus.
 
 Both conditions are decided symbolically.  The only numerics in this
 module is the branch-point search: the common zeros of the entries of A'
-are the roots of their exact gcd, found in floats inside an annulus.
+are the roots of their exact gcd, found in floats by Aberth's iteration
+(laurent_roots) inside an annulus.
 
 Component convention, used consistently across the package: for
 A = [[a, b], [c, d]] the first section is the first column s = (a, c) and
@@ -18,11 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import NotSpecial, RegionContainsPole, UnknownName
+from .errors import NotSpecial, RegionContainsPole, ToleranceNotMet, UnknownName
 from .series import LaurentMatrix, LaurentPoly, json_float, poly_gcd
 
 _ONE = LaurentPoly.one()
@@ -141,52 +141,59 @@ def omega_quadratic(matrix: LaurentMatrix) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # branch points
 
-_NEWTON_SWEEPS = 3
+_SWEEPS = 100         # Aberth sweeps before ToleranceNotMet
 _BRANCH_TOL = 1e-10   # slack at the region's boundary
 
 
 def laurent_roots(p: LaurentPoly) -> list[complex]:
-    """The zeros of p in C, as np.roots lists them.
-
-    A nonzero root of multiplicity k appears k times, each copy up to about
-    eps^(1/k) away, so callers pass a square-free p; 0 appears once,
-    whatever its multiplicity, when p(0) = 0.
-    """
+    """The zeros of p in C: 0 once when p(0) = 0, whatever its multiplicity, then those
+    of z^-lo·p: -c_0/c_1 at degree 1, else by Aberth–Ehrlich sweeps from the circles of
+    the Newton polygon of log|c_k| (Bini 1996) until one sweep finds every root at
+    |p(z)| <= 4·eps·Σ|c_k||z|^k (ToleranceNotMet after _SWEEPS).  As in np.roots, a top
+    coefficient that rounds to 0.0 is dropped and a bottom one gives a root 0.  Callers
+    pass a square-free p: the k copies of a k-fold root spread to about eps^(1/k)."""
     if p.is_zero:
         raise ValueError("zero polynomial has no isolated roots")
     lo = p.valuation()
-    hi = p.degree()
-    roots: list[complex] = []
-    if lo > 0:
+    roots, c = [0j] if lo > 0 else [], p.float_coeffs(lo, p.degree())   # ascending
+    while c and not c[-1]:
+        c.pop()
+    while c and not c[0]:
+        c.pop(0)
         roots.append(0j)
-    # z^{-lo} p(z) is an ordinary polynomial with nonzero constant term,
-    # so numpy sees no spurious roots at the origin.
-    coeffs = p.float_coeffs(lo, hi)[::-1]
-    if len(coeffs) > 1:
-        roots.extend(np.roots(coeffs).tolist())
-    return roots
-
-
-def _newton_polish(p: LaurentPoly, z: complex) -> complex:
-    dp = p.derivative()
-    for _ in range(_NEWTON_SWEEPS):
-        if z == 0:
-            break
-        d = dp(z)
-        if d == 0:
-            break
-        step = p(z) / d
-        if not (math.isfinite(step.real) and math.isfinite(step.imag)):
-            break
-        z -= step
-    return z
+    if len(c) < 3:   # degree 1 in closed form
+        return roots + [-c[0] / c[1]] if len(c) == 2 else roots
+    n, mag = len(c) - 1, [math.log(abs(x)) if x else -math.inf for x in c]
+    hull = [0]   # the upper convex hull of (k, log|c_k|)
+    for k in range(1, n + 1):
+        while len(hull) > 1 and ((mag[hull[-1]] - mag[hull[-2]]) * (k - hull[-2])
+                                 <= (mag[k] - mag[hull[-2]]) * (hull[-1] - hull[-2])):
+            hull.pop()
+        hull.append(k)
+    z = [math.exp((mag[i] - mag[j]) / m) * cmath.exp(1j * (2 * math.pi * k / m + i + 0.4))
+         for i, j in zip(hull, hull[1:]) for m in [j - i] for k in range(m)]
+    for _ in range(_SWEEPS):
+        moved = False
+        for i, x in enumerate(z):
+            v, dv, bound, ax = c[n], 0j, abs(c[n]), abs(x)
+            for ck in reversed(c[:-1]):
+                dv, v, bound = dv * x + v, v * x + ck, bound * ax + abs(ck)
+            if abs(v) > 4 * sys.float_info.epsilon * bound:
+                moved = True
+                try:
+                    z[i] = x - 1 / (dv / v - sum(1 / (x - y) for j, y in enumerate(z) if j != i))
+                except ZeroDivisionError:   # x on another iterate, or a step of 1/0
+                    pass
+        if not moved:
+            return roots + z
+    raise ToleranceNotMet(f"{n} roots not all found in {_SWEEPS} Aberth sweeps")
 
 
 def branch_points(frame: BryantFrame, region: Annulus) -> list[complex]:
     """Common zeros of the four entries of A' inside the region, each once.
 
     They are the roots of the square-free part of the monic gcd of the
-    nonzero entries, each with a Newton polish on that part, and 0 when
+    nonzero entries, found by laurent_roots to rounding level, and 0 when
     every entry vanishes there (the gcd leaves out powers of z).
     RegionContainsPole is raised when A' has a pole inside the region
     (poles of Laurent entries sit at 0 only).
@@ -200,7 +207,7 @@ def branch_points(frame: BryantFrame, region: Annulus) -> list[complex]:
         raise RegionContainsPole("derivative has a pole at 0 inside the region")
     g = poly_gcd(*nonzero)
     g = g // poly_gcd(g, g.derivative())
-    roots = [_newton_polish(g, z) for z in laurent_roots(g)]
+    roots = laurent_roots(g)
     if all(p.valuation() > 0 for p in nonzero):
         roots.append(0j)
     found = [z for z in roots if region.contains(z, slack=_BRANCH_TOL)]

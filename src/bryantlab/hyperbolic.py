@@ -52,8 +52,6 @@ import sys
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .defaults import DEFAULTS
 from .errors import (BryantLabError, DegenerateMetric, NotRepresentable,
                      PoleAtZero)
@@ -86,9 +84,9 @@ class MinkowskiPoint:
         if self.x0 <= 0:
             raise ValueError("x0 must be positive")
 
-    def poincare(self) -> np.ndarray:
+    def poincare(self) -> tuple[float, float, float]:
         """Projection into the open unit ball."""
-        return np.array([self.x1, self.x2, self.x3]) / (1.0 + self.x0)
+        return tuple(x / (1.0 + self.x0) for x in (self.x1, self.x2, self.x3))
 
 
 def immerse(frame: BryantFrame, z: complex) -> MinkowskiPoint:
@@ -141,8 +139,8 @@ def _normal_direction(f: Vec4, fu: Vec4, fv: Vec4) -> Vec4:
 class CurvatureSample:
     z: complex
     H: float
-    first_form: np.ndarray
-    second_form: np.ndarray
+    first_form: tuple[tuple[float, float], tuple[float, float]]
+    second_form: tuple[tuple[float, float], tuple[float, float]]
 
 
 def _dyadic(x: float) -> tuple[int, int]:
@@ -356,11 +354,11 @@ def _curvature(z: complex, k: int, h: int, d0: int, ys, gs) -> CurvatureSample:
                           (4, det_i, det_i, q, d_uv, d_uv))
         sq2 = (q << 4 * k) / (sn * d0 * d0 * g00 * d_u * d_v)
         first01 = (i01 << 2 * k) / (s * d_u * d_v)
-        first = np.array([[(i00 << 2 * k) / (s * d_u * d_u), first01],
-                          [first01, (i11 << 2 * k) / (s * d_v * d_v)]])
+        first = (((i00 << 2 * k) / (s * d_u * d_u), first01),
+                 (first01, (i11 << 2 * k) / (s * d_v * d_v)))
         second01 = (j01 << 4 * k) / (sn * d_uv)
-        second = np.array([[(j00 << 4 * k + 2) / (sn * d_u), second01],
-                           [second01, (j11 << 4 * k + 2) / (sn * d_v)]])
+        second = (((j00 << 4 * k + 2) / (sn * d_u), second01),
+                  (second01, (j11 << 4 * k + 2) / (sn * d_v)))
     except OverflowError:
         raise NotRepresentable(
             f"the curvature at {z!r} exceeds the double range") from None
@@ -368,7 +366,8 @@ def _curvature(z: complex, k: int, h: int, d0: int, ys, gs) -> CurvatureSample:
     if sq2 < sys.float_info.min:
         raise NotRepresentable(
             f"the normal's scale at {z!r} underflows the double range")
-    second /= math.sqrt(sq2)
+    root = math.sqrt(sq2)
+    second = tuple((x / root, y / root) for x, y in second)
     H = math.copysign(math.sqrt(ratio), 1 if t_num >= 0 else -1)
     return CurvatureSample(z=z, H=H, first_form=first, second_form=second)
 

@@ -43,6 +43,7 @@ from .errors import NotRepresentable, PoleAtZero
 
 RationalLike = Union[int, Fraction]
 CoeffLike = Union[int, Fraction, "GaussianRational"]
+Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]   # ((a, b), (c, d))
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -507,13 +508,9 @@ class LaurentMatrix:
     def max_pole_order(self) -> int:
         return max(p.pole_order() for p in self.entries)
 
-    def evaluate(self, z: complex):
-        """Numeric 2x2 complex array at z (numpy)."""
-        import numpy as np
-
-        return np.array(
-            [[self.a(z), self.b(z)], [self.c(z), self.d(z)]], dtype=complex
-        )
+    def evaluate(self, z: complex) -> Matrix2:
+        """The value at z as nested tuples ((a, b), (c, d)) of complex."""
+        return (self.a(z), self.b(z)), (self.c(z), self.d(z))
 
     def eval_exact(
         self, z: GaussianRational

@@ -109,7 +109,7 @@ def test_criterion_03_holonomy_oracle_and_path_properties():
         open_path = Path.polyline(verts)
         y = parallel_transport(theta, open_path)
         back = parallel_transport(theta, open_path.reverse())
-        rev_err = float(np.linalg.norm(back @ y - np.eye(2)))
+        rev_err = float(np.linalg.norm(np.array(back) @ np.array(y) - np.eye(2)))
         if rev_err > 1e-9:
             failures.append(f"trial {trial}: reversal defect {rev_err:.2e}")
 
@@ -118,7 +118,7 @@ def test_criterion_03_holonomy_oracle_and_path_properties():
         p1 = Path.polyline(closed[:cut + 1])
         p2 = Path.polyline(closed[cut:])
         whole = parallel_transport(theta, p1 + p2)
-        parts = parallel_transport(theta, p2) @ parallel_transport(theta, p1)
+        parts = np.array(parallel_transport(theta, p2)) @ np.array(parallel_transport(theta, p1))
         cat_err = float(np.linalg.norm(whole - parts))
         if cat_err > 1e-9:
             failures.append(f"trial {trial}: concatenation defect {cat_err:.2e}")
@@ -127,7 +127,7 @@ def test_criterion_03_holonomy_oracle_and_path_properties():
         base = verts[0]
         same_base_circle = PathLoop.circle(0j, abs(base),
                                            base_angle=cmath.phase(base))
-        hom_err = float(np.linalg.norm(parallel_transport(theta, polygon)
+        hom_err = float(np.linalg.norm(np.array(parallel_transport(theta, polygon))
                                        - parallel_transport(theta, same_base_circle)))
         if hom_err > 1e-9:
             failures.append(f"trial {trial}: homotopy defect {hom_err:.2e}")

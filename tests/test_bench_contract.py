@@ -192,8 +192,8 @@ def test_holonomy_round_meets_its_closed_forms(bench, tmp_path, seed):
     pairs = _holonomy_round(workloads, tmp_path, seed)
     for theta, loop in pairs[:8]:
         (u,) = connection.holonomy(theta, [loop]).matrices
-        assert abs(u[0, 0] + u[1, 1]) <= 1e-15
-        assert abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1) <= 1e-15
+        assert abs(u[0][0] + u[1][1]) <= 1e-15
+        assert abs(u[0][0] * u[1][1] - u[0][1] * u[1][0] - 1) <= 1e-15
     for alpha, (theta, loop) in zip(workloads.MODEL_WEIGHTS, pairs[8:]):
         (u,) = connection.holonomy(theta, [loop]).matrices
         w = cmath.exp(2j * math.pi * alpha)
@@ -450,7 +450,7 @@ def _bits(call, *args):
         m = call(*args)
     except (BryantLabError, ArithmeticError) as exc:
         return repr(type(exc))
-    return repr(None if m is None else m.ravel().tolist())
+    return repr(None if m is None else np.array(m).ravel().tolist())
 
 
 @contextlib.contextmanager
@@ -462,7 +462,7 @@ def _route_beside_reference():
 
     def checked(theta, loop, controls):
         m = route(theta, loop, controls)
-        same.append(repr(None if m is None else m.ravel().tolist())
+        same.append(repr(None if m is None else np.array(m).ravel().tolist())
                     == _bits(_reference_local_monodromy, theta, loop, controls, tally))
         return m
 

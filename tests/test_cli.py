@@ -26,7 +26,7 @@ import pytest
 import bryantlab
 from bryantlab import hyperbolic
 from bryantlab.cli import _build_parser, main
-from bryantlab.connection import PathLoop, model_end_field
+from bryantlab.connection import PathLoop, model_end_field, simple_pole_field
 from bryantlab.errors import DegenerateMetric, NotRepresentable, PoleAtZero
 from bryantlab.frames import Annulus, BryantFrame, catalog
 from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
@@ -430,6 +430,35 @@ class TestHolonomy:
         loops = loop_file("tiny.json", [PathLoop.circle(0j, 1e-5)])
         code, _, err = run(capsys, "holonomy", field, loops)
         assert code == 1 and "PoleTooClose" in err
+
+    @staticmethod
+    def _there_and_back(a, b):
+        return {"base": [a.real, a.imag], "segments": [
+            {"kind": "line", "start": [p.real, p.imag], "end": [q.real, q.imag]}
+            for p, q in ((a, b), (b, a))]}
+
+    @pytest.mark.parametrize("loop, codes", [
+        # |b - a|² overflows in LineSegment.min_distance
+        (_there_and_back(complex(-1e300, -0.5), complex(1.7e308, 1e150)), (1,)),
+        # |b - a| itself overflows: the loop has no length
+        (_there_and_back(0.5 + 0j, complex(1.7e308, 1.7e308)), (2,)),
+        # the distance from the circle's centre to either pole overflows
+        ({"base": [1.7e308, 1.7e308], "segments": [
+            {"kind": "arc", "center": [1.7e308, 1.7e308], "radius": 5e-324,
+             "angle0": 0.0, "angle1": 2 * math.pi}]}, (1,)),
+    ], ids=["line-square", "line-length", "far-circle"])
+    def test_loop_near_the_double_range_is_one_line(self, capsys, write_json,
+                                                     loop, codes):
+        # the bench's two-pole field; each loop used to end in an OverflowError
+        q = Fraction(1, 4)
+        g0 = LaurentMatrix.diagonal(LaurentPoly.constant(-q), LaurentPoly.constant(q))
+        g1 = LaurentMatrix(LaurentPoly.zero(), LaurentPoly.constant(-q),
+                           LaurentPoly.constant(-q), LaurentPoly.zero())
+        field = write_json("two_pole.json", simple_pole_field([(0, g0), (1, g1)]).to_json())
+        loops = write_json("loop.json", loop)
+        code, out, err = run(capsys, "holonomy", field, loops)
+        assert code in codes and out == "" and err.count("\n") == 1
+        assert err.startswith("input error: " if code == 2 else "ToleranceNotMet: ")
 
 
 class TestEnd:

@@ -68,7 +68,7 @@ class TestHiggsField:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_pole_of_order_k_listed_once(self, k):
-        # np.roots on (z - 1)^k alone gives k roots up to eps^(1/k) from 1
+        # laurent_roots on (z - 1)^k alone gives k roots up to eps^(1/k) from 1
         g = LaurentMatrix.diagonal(ONE, -ONE)
         assert HiggsField(g, (Z - ONE) ** k).poles == (1 + 0j,)
 
@@ -83,7 +83,7 @@ class TestHiggsField:
         theta = simple_pole_field([(0, g), (1, g)])
         assert set(theta.poles) == {0j, 1 + 0j}
         # value at z=2: 1/2 + 1/1 on the (0,0) entry
-        assert abs(theta.value(2.0)[0, 0] - 1.5) < 1e-14
+        assert abs(theta.value(2.0)[0][0] - 1.5) < 1e-14
 
     def test_single_pole_matches_model(self):
         alpha = Fraction(1, 3)
@@ -479,14 +479,14 @@ class TestTransport:
         path = Path.polyline([1, 1 + 1j, -1 + 1j, -1 - 0.5j])
         y = parallel_transport(theta, path)
         back = parallel_transport(theta, path.reverse())
-        assert np.linalg.norm(back @ y - np.eye(2)) < 1e-9
+        assert np.linalg.norm(np.array(back) @ np.array(y) - np.eye(2)) < 1e-9
 
     def test_concatenation(self):
         theta = model_end_field(Fraction(1, 3))
         p = Path.polyline([1, 1 + 1j, -1 + 1j])
         q = Path.polyline([-1 + 1j, -1 - 1j])
         whole = parallel_transport(theta, p + q)
-        parts = parallel_transport(theta, q) @ parallel_transport(theta, p)
+        parts = np.array(parallel_transport(theta, q)) @ np.array(parallel_transport(theta, p))
         assert np.linalg.norm(whole - parts) < 1e-9
 
     def test_homotopy_invariance(self):
@@ -495,7 +495,7 @@ class TestTransport:
         square = PathLoop.polygon([1, 1j, -1, -1j])
         a = parallel_transport(theta, circle)
         b = parallel_transport(theta, square)
-        assert np.linalg.norm(a - b) < 1e-9
+        assert np.linalg.norm(np.array(a) - b) < 1e-9
 
 
 def two_pole_field():
@@ -533,8 +533,8 @@ class TestTaylorTransport:
         theta = HiggsField(LaurentMatrix(ZERO, LaurentPoly.constant(b), ZERO, ZERO))
         start, dz = 0.5 + 0j, 4 - 3j
         y = parallel_transport(theta, Path.polyline([start, start + dz]))
-        assert y[0, 0] == 1 and y[1, 1] == 1 and y[1, 0] == 0
-        assert abs(y[0, 1] + (3 - 2j) * dz) <= 1e-14 * abs(dz)
+        assert y[0][0] == 1 and y[1][1] == 1 and y[1][0] == 0
+        assert abs(y[0][1] + (3 - 2j) * dz) <= 1e-14 * abs(dz)
 
     def test_constant_diagonal_field_over_a_long_segment(self):
         # Y = diag(e^-50, e^50): each entry to relative accuracy, which one
@@ -542,9 +542,9 @@ class TestTaylorTransport:
         theta = HiggsField(LaurentMatrix.diagonal(LaurentPoly.constant(5),
                                                   LaurentPoly.constant(-5)))
         y = parallel_transport(theta, Path.polyline([0, 10]))
-        assert y[0, 1] == 0 and y[1, 0] == 0
-        assert abs(y[0, 0] / math.exp(-50) - 1) <= 1e-12
-        assert abs(y[1, 1] / math.exp(50) - 1) <= 1e-12
+        assert y[0][1] == 0 and y[1][0] == 0
+        assert abs(y[0][0] / math.exp(-50) - 1) <= 1e-12
+        assert abs(y[1][1] / math.exp(50) - 1) <= 1e-12
 
     @pytest.mark.parametrize("pole", [0j, 1 + 0j])
     @pytest.mark.parametrize("shape", ["circle 0.3", "circle 0.5", "circle 0.95",
@@ -820,7 +820,7 @@ class TestLocalMonodromy:
         # |Y| grows on the way and shrinks again the reference is only good
         # to its peak (test_route_meets_an_independent_reference)
         bound = 4 * DEFAULTS.atol * max(1.0, peak, *np.abs(got).ravel())
-        assert np.abs(got - want).max() <= bound
+        assert np.abs(np.array(got) - want).max() <= bound
 
     def test_route_meets_an_independent_reference(self):
         # one simple pole at 3i/4, clockwise around the circle of radius 1.8:
@@ -935,7 +935,7 @@ class TestReportOnTuples:
                 assert len(got) == len(want)
                 for x, y in zip(got, want):
                     assert abs(x - y) <= 1e-14 * max(1.0, y)
-            assert all(isinstance(m, np.ndarray) for m in rep.matrices)
+            assert all(isinstance(m, tuple) and np.array(m).shape == (2, 2) for m in rep.matrices)
 
     @pytest.mark.parametrize("theta, loops, tol", [
         (ZERO_FIELD, [unit_circle(), PathLoop.circle(0j, 0.5),

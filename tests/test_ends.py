@@ -220,7 +220,7 @@ class TestParabolicStructures:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_residue_non_finite(self, bad):
-        # numpy's LinAlgError is a ValueError too, so match the message
+        # the other rejections are ValueErrors too, so match the message
         with pytest.raises(ValueError, match="non-finite"):
             residue_parabolic(np.full((2, 2), bad))
 

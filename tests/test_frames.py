@@ -2,15 +2,20 @@
 randomized special frames."""
 
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bryantlab.errors import (NotSpecial, RegionContainsPole, UnknownName)
+from bryantlab import frames
+from bryantlab.errors import (NotSpecial, RegionContainsPole, ToleranceNotMet,
+                              UnknownName)
 from bryantlab.frames import (Annulus, BryantFrame, CATALOG_NAMES,
                               branch_points, catalog, check_bryant,
-                              omega_quadratic)
-from bryantlab.series import LaurentMatrix, LaurentPoly
+                              laurent_roots, omega_quadratic)
+from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
 from conftest import special_frames
 
 Z = LaurentPoly.z()
@@ -117,6 +122,66 @@ class TestBranchPoints:
         frame = BryantFrame(LaurentMatrix(ONE, (Z - ONE) ** k, ZERO, ONE))
         pts = branch_points(frame, Annulus(0.0, 2.0))
         assert len(pts) == 1 and abs(pts[0] - 1) <= 1e-12
+
+
+# a Gaussian-rational octagon of radius about 1: eight directions
+_OCTAGON = [GaussianRational(Fraction(x), Fraction(y)) for x, y in
+            [(1, 0), (Fraction(5, 7), Fraction(5, 7)), (0, 1), (Fraction(-5, 7), Fraction(5, 7)),
+             (-1, 0), (Fraction(-5, 7), Fraction(-5, 7)), (0, -1), (Fraction(5, 7), Fraction(-5, 7))]]
+_TWIN = {"re": GaussianRational(Fraction(1, 4000)), "im": GaussianRational(Fraction(0), Fraction(1, 4000))}
+
+
+@st.composite
+def separated_roots(draw) -> list[GaussianRational]:
+    """2-10 distinct points on a scaled octagon, some with a twin 1/4000 away.
+
+    Spread this way, every root's condition keeps the rounding-level stop
+    within about 1e-10 of it, twins included."""
+    slots = draw(st.lists(st.integers(0, 7), min_size=2, max_size=8, unique=True))
+    radius = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2)]))
+    twins = draw(st.lists(st.sampled_from([None, "re", "im"]),
+                          min_size=len(slots), max_size=len(slots)))
+    points = []
+    for k, twin in zip(slots, twins):
+        z = _OCTAGON[k] * radius
+        points += [z] if twin is None else [z, z + _TWIN[twin]]
+    return points[:10]
+
+
+def _product(points) -> LaurentPoly:
+    p = ONE
+    for x in points:
+        p = p * (Z - LaurentPoly.constant(x))
+    return p
+
+
+class TestLaurentRoots:
+    @settings(max_examples=60, deadline=None)
+    @given(separated_roots())
+    def test_one_root_per_factor_at_rounding_level(self, points):
+        p = _product(points)
+        roots = laurent_roots(p)
+        assert len(roots) == len(points)
+        c = p.float_coeffs(0, p.degree())
+        for z in roots:   # the stop, by the same Horner pass
+            v, bound = c[-1], abs(c[-1])
+            for ck in reversed(c[:-1]):
+                v, bound = v * z + ck, bound * abs(z) + abs(ck)
+            assert abs(v) <= 4 * sys.float_info.epsilon * bound
+        for x in points:
+            assert min(abs(z - x.to_complex()) for z in roots) <= 1e-9
+
+    def test_top_coefficient_below_the_double_range_is_dropped(self):
+        tiny = Fraction(1, 10 ** 400)   # rounds to 0.0
+        assert laurent_roots(ONE + LaurentPoly({1: tiny})) == []
+        assert laurent_roots(ONE + Z + LaurentPoly({2: tiny})) == [-1 + 0j]
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(frames, "_SWEEPS", 1)
+        p = _product([GaussianRational(Fraction(1)), GaussianRational(Fraction(2)),
+                      GaussianRational(Fraction(0), Fraction(-3))])
+        with pytest.raises(ToleranceNotMet, match="Aberth"):
+            laurent_roots(p)
 
 
 class TestCatalog:

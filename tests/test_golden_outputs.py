@@ -19,11 +19,12 @@ same commit and lists each changed entry, with its largest |Δ|:
 The manifest records the Python and numpy versions it was made with.  A
 mismatch fails the test on any build.  Where the running versions differ
 from the recorded ones, the failure message says so, because then the
-difference may come from the build rather than the code.  Outputs are
-plain float arithmetic except where numpy calls LAPACK, and on these jobs
-that is only ``np.roots`` of degree 1 (the second pole of the two-pole
-field), whose one root is exact; the bench's own inputs are written by
-``bench/workloads.py`` before any job runs.
+difference may come from the build rather than the code.  No job calls
+numpy or LAPACK: the package runs on the standard library, so outputs are
+plain float arithmetic, and the only root the jobs find (the second pole of
+the two-pole field) comes from the degree-1 closed form -c_0/c_1.  The
+numpy version stays in the record because ``bench/workloads.py``, which
+writes the bench's own inputs before any job runs, imports numpy.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
-"""Source hygiene: no unused imports, private names or dangling public names.
+"""Source hygiene: no unused imports, private names or dangling public names,
+and no runtime dependency beyond the standard library.
 
 Parsed with the standard-library ast module, so the check needs no lint
 tool and runs with the rest of the suite.
 """
 
 import ast
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -116,6 +119,16 @@ def test_all_names_resolve():
 def test_all_lists_exactly_the_imports():
     init = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
     assert set(imported_names(init)) == set(bryantlab.__all__)
+
+
+def test_import_leaves_numpy_out():
+    # the package and its CLI run on the standard library; numpy is a test extra
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import bryantlab, bryantlab.cli; "
+            "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE_DIR.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_every_control_is_read():

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bryantlab.connection import higgs_from_frame
 from bryantlab.errors import DegenerateMetric, NotRepresentable, PoleAtZero
 from bryantlab.frames import CATALOG_NAMES, Annulus, BryantFrame, catalog
 from bryantlab.hyperbolic import (CurvatureSample, GridSpec, MinkowskiPoint,
@@ -30,7 +31,7 @@ from bryantlab.hyperbolic import (CurvatureSample, GridSpec, MinkowskiPoint,
                                   hyperbolic_distance, immerse, mean_curvature,
                                   sample_mesh)
 from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
-from conftest import seeded_coeff, special_frames
+from conftest import seeded_coeff, seeded_special_frame, special_frames
 
 ONE = LaurentPoly.one()
 Z = LaurentPoly.z()
@@ -129,7 +130,7 @@ def _outcome(fn, *args):
 
 def _kernel(frame, z, step):
     s = mean_curvature(frame, z, step)
-    return s.H, s.first_form.tolist(), s.second_form.tolist()
+    return s.H, np.array(s.first_form).tolist(), np.array(s.second_form).tolist()
 
 
 def _unipotent(p, upper):
@@ -219,8 +220,8 @@ def _immersed(frame, z):
 
 def _sample_bits(s):
     """H and both forms as bits, so that -0.0 and 0.0 differ."""
-    return (s.H.hex(), [x.hex() for x in s.first_form.ravel()],
-            [x.hex() for x in s.second_form.ravel()])
+    return (s.H.hex(), [float(x).hex() for x in np.array(s.first_form).ravel()],
+            [float(x).hex() for x in np.array(s.second_form).ravel()])
 
 
 def _sample_outcome(frame, z, step):
@@ -413,6 +414,42 @@ class TestDistance:
             assert abs(d - du) < 1e-10
 
 
+def _constant(a, b, c, d) -> LaurentMatrix:
+    return LaurentMatrix(*(LaurentPoly.constant(x) for x in (a, b, c, d)))
+
+
+# the (m, n) = (1, 2) monomial frame: det = 1 and det A' = 0
+FRAME_1_2 = LaurentMatrix(LaurentPoly({1: Fraction(4, 3)}), LaurentPoly({2: Fraction(1, 3)}),
+                          LaurentPoly({-2: 1}), LaurentPoly({-1: 1}))
+SU2 = _constant(Fraction(3, 5), GaussianRational(Fraction(0), Fraction(4, 5)),
+                GaussianRational(Fraction(0), Fraction(4, 5)), Fraction(3, 5))
+SL2 = _constant(2, GaussianRational(Fraction(1), Fraction(1)),
+                1, GaussianRational(Fraction(1), Fraction(1, 2)))   # det 1
+
+
+class TestExactSymmetry:
+    """A ↦ A·U, U in SU(2) over Q(i), leaves A·A* and so every exact-layer
+    output unchanged, and A ↦ A·C, C constant in SL(2, Q(i)), leaves
+    Θ = A'·A⁻¹ unchanged: both asserted with ==, no tolerance."""
+
+    POINTS = (0.3 + 0.2j, -0.4 + 0.5j, 0.7 - 0.1j, -0.6 - 0.35j, 0.15 + 0.8j)
+
+    @pytest.mark.parametrize("matrix", [FRAME_1_2, seeded_special_frame(random.Random(14))],
+                             ids=["frame-1-2", "seeded"])
+    def test_right_unitary_factor_keeps_points_and_curvature(self, matrix):
+        a, au = BryantFrame(matrix), BryantFrame(matrix @ SU2)
+        for z in self.POINTS:
+            assert immerse(au, z) == immerse(a, z)
+            s, su = mean_curvature(a, z), mean_curvature(au, z)
+            assert (su.H, su.first_form, su.second_form) == (s.H, s.first_form, s.second_form)
+
+    @pytest.mark.parametrize("matrix", [FRAME_1_2, seeded_special_frame(random.Random(14))],
+                             ids=["frame-1-2", "seeded"])
+    def test_right_constant_factor_keeps_the_higgs_field(self, matrix):
+        assert SL2.det() == ONE
+        assert higgs_from_frame(matrix @ SL2) == higgs_from_frame(matrix)
+
+
 class TestMeanCurvature:
     def test_horosphere(self):
         s = mean_curvature(catalog("horosphere"), 0.3 + 0.2j, step=1e-4)
@@ -474,7 +511,7 @@ class TestMeanCurvature:
         assert s.H == 1.0
         scale = 10.0 ** (2 * exponent)
         assert np.array_equal(s.first_form, [[scale, 0], [0, scale]])
-        assert np.max(np.abs(s.second_form - s.first_form)) <= 1e-15 * scale
+        assert np.max(np.abs(np.array(s.second_form) - s.first_form)) <= 1e-15 * scale
 
     @pytest.mark.parametrize("exponent", [-80, -200])
     def test_normal_scale_underflow(self, exponent):
@@ -496,7 +533,7 @@ class TestMeanCurvature:
 
     def test_forms_shape(self):
         s = mean_curvature(catalog("horosphere"), 0.2 + 0.1j, step=1e-3)
-        assert s.first_form.shape == (2, 2) and s.second_form.shape == (2, 2)
+        assert np.array(s.first_form).shape == (2, 2) and np.array(s.second_form).shape == (2, 2)
         # first form positive definite away from branch points
         assert np.all(np.linalg.eigvalsh(s.first_form) > 0)
 
