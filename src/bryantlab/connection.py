@@ -58,12 +58,12 @@ _ONE = LaurentPoly.one()
 
 @dataclass(frozen=True)
 class HiggsField:
-    """Θ = (num / den) dz with trace-free numerator, in normal form: num and
-    den are polynomials in z, one of them nonzero at 0, divided by their
-    monic gcd, so ``poles`` are the roots of den, each listed once.
-    Descriptions of one Θ that differ by a monic common factor, such as a
-    file's older Laurent form of the model end (z^-1 over 1), give equal
-    fields."""
+    """Θ = (num / den) dz with trace-free numerator, in normal form: num and den are
+    polynomials in z, one of them nonzero at 0, divided by their monic gcd, so ``poles``
+    are den's roots by laurent_roots: each once, by modulus, then argument, and
+    NotRepresentable if one is beyond the double range.  Descriptions of one Θ that
+    differ by a monic common factor, such as a file's older Laurent form of the model
+    end (z^-1 over 1), give equal fields."""
 
     num: LaurentMatrix
     den: LaurentPoly = field(default_factory=LaurentPoly.one)
@@ -77,10 +77,7 @@ class HiggsField:
         num, den = _normal(self.num, self.den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        g = poly_gcd(den, den.derivative())   # den's square-free part is den // g
-        object.__setattr__(self, "poles", tuple(sorted(
-            laurent_roots(den if g == _ONE else den // g),
-            key=lambda w: (abs(w), w.real, w.imag))))
+        object.__setattr__(self, "poles", tuple(laurent_roots(den)))
 
     def value(self, z: complex) -> Matrix2:
         d = self.den(complex(z))
@@ -417,6 +414,8 @@ def _radius(n: list, d: list) -> float:
         th.append(((x0 - c0) / d[0], (x1 - c1) / d[0], (x2 - c2) / d[0], (x3 - c3) / d[0]))
     r = max([(max(abs(p) + abs(q), abs(u) + abs(v)) / (k + 1)) ** (1 / (k + 1))
              for k, (p, q, u, v) in enumerate(th)] + [0.0])
+    if not r < math.inf:   # inf or nan: a shifted coefficient left the double range
+        raise OverflowError
     return 1 / r if r else math.inf
 
 

@@ -6,9 +6,9 @@ immerses its domain into hyperbolic 3-space with mean curvature one, and
 the zero set of A' is the branch locus.
 
 Both conditions are decided symbolically.  The only numerics in this
-module is the branch-point search: the common zeros of the entries of A'
-are the roots of their exact gcd, found in floats by Aberth's iteration
-(laurent_roots) inside an annulus.
+module is laurent_roots, the one root finder: each distinct zero of an exact
+polynomial once, found in floats by Aberth's iteration.  It gives the poles
+of a Higgs field and the branch points, the roots of the gcd of A'.
 
 Component convention, used consistently across the package: for
 A = [[a, b], [c, d]] the first section is the first column s = (a, c) and
@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .errors import NotSpecial, RegionContainsPole, ToleranceNotMet, UnknownName
+from .errors import NotRepresentable, NotSpecial, RegionContainsPole, ToleranceNotMet, UnknownName
 from .series import LaurentMatrix, LaurentPoly, json_float, poly_gcd
 
 _ONE = LaurentPoly.one()
@@ -146,23 +146,36 @@ _BRANCH_TOL = 1e-10   # slack at the region's boundary
 
 
 def laurent_roots(p: LaurentPoly) -> list[complex]:
-    """The zeros of p in C: 0 once when p(0) = 0, whatever its multiplicity, then those
-    of z^-lo·p: -c_0/c_1 at degree 1, else by Aberth–Ehrlich sweeps from the circles of
-    the Newton polygon of log|c_k| (Bini 1996) until one sweep finds every root at
-    |p(z)| <= 4·eps·Σ|c_k||z|^k (ToleranceNotMet after _SWEEPS).  As in np.roots, a top
-    coefficient that rounds to 0.0 is dropped and a bottom one gives a root 0.  Callers
-    pass a square-free p: the k copies of a k-fold root spread to about eps^(1/k)."""
+    """The distinct zeros of p in C, each once, by modulus, then argument: 0 when lo > 0,
+    then those of the square-free part q = z^-lo·p // gcd(p, p′), found exactly.  In floats
+    a top coefficient of q that rounds to 0.0 is dropped, as in np.roots, and a bottom one
+    adds the root 0; the rest are -c_0/c_1 at degree 1, else _aberth's.  NotRepresentable
+    when a root, or q's value near one, exceeds the double range."""
     if p.is_zero:
         raise ValueError("zero polynomial has no isolated roots")
-    lo = p.valuation()
-    roots, c = [0j] if lo > 0 else [], p.float_coeffs(lo, p.degree())   # ascending
+    q = p.shift(-(lo := p.valuation()))
+    if (g := poly_gcd(q, q.derivative())) != _ONE:
+        q = q // g
+    c, zero = q.float_coeffs(0, q.degree()), lo > 0   # ascending
     while c and not c[-1]:
         c.pop()
     while c and not c[0]:
         c.pop(0)
-        roots.append(0j)
-    if len(c) < 3:   # degree 1 in closed form
-        return roots + [-c[0] / c[1]] if len(c) == 2 else roots
+        zero = True
+    try:
+        roots = _aberth(c) if len(c) > 2 else [-c[0] / c[1]] if len(c) == 2 else []
+        if all(map(cmath.isfinite, roots)):
+            return sorted(([0j] if zero else []) + roots, key=lambda w: (abs(w), cmath.phase(w)))
+    except OverflowError:   # at a start circle or in a Horner pass
+        pass
+    raise NotRepresentable(
+        f"roots of a degree-{len(c) - 1} polynomial, or its values there, exceed the double range")
+
+
+def _aberth(c: list[complex]) -> list[complex]:
+    """The roots of p = Σ c_k z^k, c_0, c_n != 0, n >= 2, by Aberth–Ehrlich sweeps from the
+    circles of the Newton polygon of log|c_k| (Bini 1996) until one sweep finds each at |p(z)|
+    <= 4·eps·Σ|c_k||z|^k (ToleranceNotMet after _SWEEPS; OverflowError if that sum does)."""
     n, mag = len(c) - 1, [math.log(abs(x)) if x else -math.inf for x in c]
     hull = [0]   # the upper convex hull of (k, log|c_k|)
     for k in range(1, n + 1):
@@ -184,20 +197,17 @@ def laurent_roots(p: LaurentPoly) -> list[complex]:
                     z[i] = x - 1 / (dv / v - sum(1 / (x - y) for j, y in enumerate(z) if j != i))
                 except ZeroDivisionError:   # x on another iterate, or a step of 1/0
                     pass
+            elif not bound < math.inf:   # x or p(x) beyond the double range
+                raise OverflowError
         if not moved:
-            return roots + z
+            return z
     raise ToleranceNotMet(f"{n} roots not all found in {_SWEEPS} Aberth sweeps")
 
 
 def branch_points(frame: BryantFrame, region: Annulus) -> list[complex]:
-    """Common zeros of the four entries of A' inside the region, each once.
-
-    They are the roots of the square-free part of the monic gcd of the
-    nonzero entries, found by laurent_roots to rounding level, and 0 when
-    every entry vanishes there (the gcd leaves out powers of z).
-    RegionContainsPole is raised when A' has a pole inside the region
-    (poles of Laurent entries sit at 0 only).
-    """
+    """Common zeros of the four entries of A' in the region, each once, in laurent_roots'
+    order: the roots of z^v·gcd(the nonzero entries), v >= 0 their least valuation.
+    RegionContainsPole when A' has a pole in the region (Laurent entries' poles sit at 0)."""
     deriv = frame.matrix.derivative()
     nonzero = [p for p in deriv.entries if not p.is_zero]
     if not nonzero:
@@ -205,32 +215,23 @@ def branch_points(frame: BryantFrame, region: Annulus) -> list[complex]:
                          "every point of the region is a branch point")
     if region.contains(0) and any(p.pole_order() > 0 for p in nonzero):
         raise RegionContainsPole("derivative has a pole at 0 inside the region")
-    g = poly_gcd(*nonzero)
-    g = g // poly_gcd(g, g.derivative())
-    roots = laurent_roots(g)
-    if all(p.valuation() > 0 for p in nonzero):
-        roots.append(0j)
-    found = [z for z in roots if region.contains(z, slack=_BRANCH_TOL)]
-    found.sort(key=lambda w: (abs(w), cmath.phase(w)))
-    return found
+    v = max(0, min(p.valuation() for p in nonzero))
+    return [z for z in laurent_roots(poly_gcd(*nonzero).shift(v))
+            if region.contains(z, slack=_BRANCH_TOL)]
 
 
 # ---------------------------------------------------------------------------
 # catalog
 
-def _poly(coeffs: dict[int, int]) -> LaurentPoly:
-    return LaurentPoly(coeffs)
-
-
 _CATALOG: dict[str, LaurentMatrix] = {
-    "horosphere": LaurentMatrix(_poly({0: 1}), _poly({1: 1}),
-                                _poly({}), _poly({0: 1})),
-    "lower-shear": LaurentMatrix(_poly({0: 1}), _poly({}),
-                                 _poly({1: 1}), _poly({0: 1})),
-    "affine-null": LaurentMatrix(_poly({0: 1, 1: 1}), _poly({1: 1}),
-                                 _poly({1: -1}), _poly({0: 1, 1: -1})),
-    "cusp-degree2": LaurentMatrix(_poly({0: 1}), _poly({2: 1}),
-                                  _poly({}), _poly({0: 1})),
+    "horosphere": LaurentMatrix(LaurentPoly({0: 1}), LaurentPoly({1: 1}),
+                                LaurentPoly({}), LaurentPoly({0: 1})),
+    "lower-shear": LaurentMatrix(LaurentPoly({0: 1}), LaurentPoly({}),
+                                 LaurentPoly({1: 1}), LaurentPoly({0: 1})),
+    "affine-null": LaurentMatrix(LaurentPoly({0: 1, 1: 1}), LaurentPoly({1: 1}),
+                                 LaurentPoly({1: -1}), LaurentPoly({0: 1, 1: -1})),
+    "cusp-degree2": LaurentMatrix(LaurentPoly({0: 1}), LaurentPoly({2: 1}),
+                                  LaurentPoly({}), LaurentPoly({0: 1})),
 }
 
 CATALOG_NAMES = tuple(sorted(_CATALOG))

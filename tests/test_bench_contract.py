@@ -518,14 +518,22 @@ def _residue_field(poles):
     (_residue_field([(0, (Fraction(-1, 2), 0, 0)), (3, (0, Fraction(1, 4), Fraction(1, 4)))]),
      PathLoop.circle(0j, 1.0), 1e-12),
     (_residue_field([(0, (0, 1, 0))]), PathLoop.circle(0j, 1.0), 1e-18),
-], ids=["off the route", "resonant", "missing the estimate"])
+    (_residue_field([(0, (Fraction(-1, 4), 0, 0)),
+                     (Fraction(1, 500), (0, Fraction(1, 4), Fraction(1, 4)))]),
+     PathLoop.circle(-0.01 + 0j, 0.011), 1e-12),
+], ids=["off the route", "resonant", "missing the estimate", "inside the clearance"])
 def test_route_declines_as_its_reference_copy_does(theta, loop, atol):
     # both poles inside; k + ad R singular at k = 1; R nilpotent, so E is
-    # formed, but its rounding alone exceeds 2·atol
+    # formed, but its rounding alone exceeds 2·atol; the next pole 1/500 away
+    # puts b′ within ρ/3 < pole_clearance of the one inside.  A declined loop
+    # is transported, so holonomy gives transport's matrix bit for bit
     controls = DEFAULTS.with_(atol=atol)
     with _route_beside_reference() as (same, _):
         assert connection._local_monodromy(theta, loop, controls) is None
     assert same == [True]
+    if atol >= 1e-12:   # transport cannot meet 1e-18
+        got = connection.holonomy(theta, [loop], controls).matrices[0]
+        assert repr(got) == repr(parallel_transport(theta, loop, controls))
 
 
 @settings(max_examples=100, deadline=None)

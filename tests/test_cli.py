@@ -354,6 +354,20 @@ class TestHolonomy:
         assert code == 1 and out == ""
         assert err.startswith("NotRepresentable: -1000") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("den", [
+        {0: 1, 1: 5 * 10 ** 300, 2: Fraction(7, 10 ** 50)},   # a root near -7e349
+        {0: 5 * 10 ** 300, 1: Fraction(7, 10 ** 50)},
+    ], ids=["degree-2", "degree-1"])
+    def test_den_root_beyond_double_is_one_line(self, capsys, write_json, loop_file, den):
+        # these exited 2 with "math range error" and 0 with a pole at -inf
+        field = write_json("far.json", {
+            "numerator": LaurentMatrix.diagonal(ONE, -ONE).to_json(),
+            "denominator": LaurentPoly(den).to_json()})
+        loops = loop_file("loops.json", [PathLoop.circle(0j, 1.0)])
+        code, out, err = run(capsys, "holonomy", field, loops)
+        assert code == 1 and out == ""
+        assert err.startswith("NotRepresentable: ") and err.count("\n") == 1
+
     def test_bad_loop_kind(self, capsys, write_json):
         field = write_json("zero.json", model_end_field(Fraction(0)).to_json())
         data = PathLoop.circle(0j, 1.0).to_json()

@@ -608,6 +608,12 @@ class TestTaylorTransport:
         with pytest.raises(ToleranceNotMet, match="double range"):
             parallel_transport(theta, Path.polyline([0, 150]))
 
+    def test_shift_beyond_the_double_range_raises(self):
+        # the shift to a midpoint near 1e307 overflows, and ρ there is nan
+        path = Path.polyline([complex(-1e300, -0.5), complex(1.7e308, 1e150)])
+        with pytest.raises(ToleranceNotMet, match="leaves the double range"):
+            parallel_transport(two_pole_field(), path)
+
     @settings(max_examples=80, deadline=None)
     @given(st.fractions(min_value=0, max_value=1, max_denominator=1000)
            .filter(lambda a: 0 < a < 1),

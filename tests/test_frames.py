@@ -1,6 +1,7 @@
 """Frame verification: expansion oracles first, then the catalog and
 randomized special frames."""
 
+import cmath
 import math
 import sys
 from fractions import Fraction
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bryantlab import frames
-from bryantlab.errors import (NotSpecial, RegionContainsPole, ToleranceNotMet,
-                              UnknownName)
+from bryantlab.connection import HiggsField
+from bryantlab.errors import (NotRepresentable, NotSpecial, RegionContainsPole,
+                              ToleranceNotMet, UnknownName)
 from bryantlab.frames import (Annulus, BryantFrame, CATALOG_NAMES,
                               branch_points, catalog, check_bryant,
                               laurent_roots, omega_quadratic)
@@ -132,8 +134,9 @@ _TWIN = {"re": GaussianRational(Fraction(1, 4000)), "im": GaussianRational(Fract
 
 
 @st.composite
-def separated_roots(draw) -> list[GaussianRational]:
-    """2-10 distinct points on a scaled octagon, some with a twin 1/4000 away.
+def separated_roots(draw) -> tuple[list[GaussianRational], list[int], int]:
+    """2-10 distinct points on a scaled octagon, some with a twin 1/4000 away,
+    each with a multiplicity of 1-4, and an exponent lo in [-2, 3] of z.
 
     Spread this way, every root's condition keeps the rounding-level stop
     within about 1e-10 of it, twins included."""
@@ -145,7 +148,10 @@ def separated_roots(draw) -> list[GaussianRational]:
     for k, twin in zip(slots, twins):
         z = _OCTAGON[k] * radius
         points += [z] if twin is None else [z, z + _TWIN[twin]]
-    return points[:10]
+    points = points[:10]
+    powers = draw(st.lists(st.sampled_from([1, 1, 1, 2, 3, 4]),
+                           min_size=len(points), max_size=len(points)))
+    return points, powers, draw(st.integers(-2, 3))
 
 
 def _product(points) -> LaurentPoly:
@@ -158,11 +164,19 @@ def _product(points) -> LaurentPoly:
 class TestLaurentRoots:
     @settings(max_examples=60, deadline=None)
     @given(separated_roots())
-    def test_one_root_per_factor_at_rounding_level(self, points):
-        p = _product(points)
+    def test_one_root_per_factor_at_rounding_level(self, case):
+        # z^lo·Π (z - x)^k: 0 once exactly when lo > 0, one root per distinct
+        # factor, in the order of (|z|, arg z)
+        points, powers, lo = case
+        p = LaurentPoly.monomial(lo) * _product(
+            [x for x, k in zip(points, powers) for _ in range(k)])
         roots = laurent_roots(p)
+        assert roots == sorted(roots, key=lambda w: (abs(w), cmath.phase(w)))
+        assert roots.count(0j) == (lo > 0)
+        roots = [z for z in roots if z]
         assert len(roots) == len(points)
-        c = p.float_coeffs(0, p.degree())
+        q = _product(points)   # the square-free part, whose roots are found
+        c = q.float_coeffs(0, q.degree())
         for z in roots:   # the stop, by the same Horner pass
             v, bound = c[-1], abs(c[-1])
             for ck in reversed(c[:-1]):
@@ -175,6 +189,25 @@ class TestLaurentRoots:
         tiny = Fraction(1, 10 ** 400)   # rounds to 0.0
         assert laurent_roots(ONE + LaurentPoly({1: tiny})) == []
         assert laurent_roots(ONE + Z + LaurentPoly({2: tiny})) == [-1 + 0j]
+
+    def test_bottom_coefficient_below_the_double_range_is_the_root_0(self):
+        # the root 0 is listed once, whether it comes from z or from rounding
+        tiny = LaurentPoly({0: Fraction(1, 10 ** 400)})
+        assert laurent_roots(Z * Z + tiny * Z) == [0j]
+        assert HiggsField(LaurentMatrix.diagonal(ONE, -ONE), Z * Z + tiny * Z).poles == (0j,)
+        assert laurent_roots(tiny + Z + Z * Z) == [0j, -1 + 0j]
+
+    @pytest.mark.parametrize("coeffs", [
+        {0: 1, 1: 5 * 10 ** 300, 2: Fraction(7, 10 ** 50)},   # a root near -7e349
+        {0: 5 * 10 ** 300, 1: Fraction(7, 10 ** 50)},
+        {0: 1, 1: 2 * 10 ** 300, 2: 1},   # Σ|c_k||z|^k overflows near the root -2e300
+    ], ids=["degree-2", "degree-1", "values"])
+    def test_root_beyond_the_double_range_raises(self, coeffs):
+        den = LaurentPoly(coeffs)
+        with pytest.raises(NotRepresentable, match="double range"):
+            laurent_roots(den)
+        with pytest.raises(NotRepresentable, match="double range"):
+            HiggsField(LaurentMatrix.diagonal(ONE, -ONE), den)
 
     def test_sweep_cap_raises(self, monkeypatch):
         monkeypatch.setattr(frames, "_SWEEPS", 1)
