@@ -88,6 +88,8 @@ class HiggsField:
         """N's entries (>= deg(den) coefficients each) and den as doubles, read at first
         use; a coefficient beyond the double range raises NotRepresentable at every use."""
         ents, den = self.num.entries, self.den
+        if (s := den.float_scale()) != 1:   # Θ = sN/(s·den), s·den in the double range
+            ents, den = [p.scale(s) for p in ents], den.scale(s)
         hi = max([p.degree() for p in ents if not p.is_zero] + [den.degree() - 1])
         return (tuple(tuple(p.float_coeffs(0, hi)) for p in ents),
                 tuple(den.float_coeffs(0, den.degree())))
@@ -137,9 +139,7 @@ def simple_pole_field(residues: Sequence[tuple[CoeffLike, LaurentMatrix]]) -> Hi
         factors.append(LaurentPoly({1: 1, 0: -g}))
         if not r.trace().is_zero:
             raise ValueError("each residue must be trace-free")
-    den = LaurentPoly.one()
-    for f in factors:
-        den = den * f
+    den = math.prod(factors, start=LaurentPoly.one())
     num = LaurentMatrix.diagonal(LaurentPoly.zero(), LaurentPoly.zero())
     for f, (_, r) in zip(factors, residues):
         cof = den // f
@@ -148,9 +148,10 @@ def simple_pole_field(residues: Sequence[tuple[CoeffLike, LaurentMatrix]]) -> Hi
 
 
 def ktuy_check(theta: HiggsField) -> tuple[bool, LaurentPoly]:
-    """trace(Θ²) = 0 test; returns (passes, numerator of trace(Θ²))."""
+    """trace(Θ²) = 0 test; returns (passes, numerator of trace(Θ²)).  The numerator
+    N = [[a, b], [c, -a]] is trace-free, so tr N² = 2(a² + bc): two products."""
     n = theta.num
-    numerator = (n @ n).trace()
+    numerator = LaurentPoly.sum_of_products((2, n.a, n.a), (2, n.b, n.c))
     return numerator.is_zero, numerator
 
 
@@ -177,7 +178,7 @@ class CousinData:
 
     def sum_squares_numerator(self) -> LaurentPoly:
         n1, n2, n3 = self.omega1, self.omega2, self.omega3
-        return n1 * n1 + n2 * n2 + n3 * n3
+        return LaurentPoly.sum_of_products((1, n1, n1), (1, n2, n2), (1, n3, n3))
 
     @property
     def is_null(self) -> bool:

@@ -67,28 +67,29 @@ class SingularEnd:
 
 def nabla_alpha(end: SingularEnd,
                 pair: tuple[LaurentPoly, LaurentPoly]) -> tuple[LaurentPoly, LaurentPoly]:
-    """∇_α applied to a section written in the model gauge."""
+    """∇_α applied to a section written in the model gauge, each entry in one pass: with
+    α = p/q, c_e·z^e becomes (e·q ∓ p)·c_e·z^(e-1) over q, with - in f and + in g."""
     f, g = pair
-    a = GaussianRational.coerce(end.alpha)
-    return (f.derivative() - f.scale(a).shift(-1),
-            g.derivative() + g.scale(a).shift(-1))
+    return f.twisted_derivative(end.alpha), g.twisted_derivative(-end.alpha)
 
 
 def omega_alpha(end: SingularEnd, frame: LaurentMatrix) -> LaurentPoly:
     """Ω_α = ∇_α s ∧ ∇_α t for the columns s = (a, c), t = (b, d) of the frame."""
     na, nc = nabla_alpha(end, (frame.a, frame.c))
     nb, nd = nabla_alpha(end, (frame.b, frame.d))
-    return na * nd - nc * nb
+    return LaurentPoly.sum_of_products((1, na, nd), (-1, nc, nb))
 
 
 def _r2(end: SingularEnd, frame: LaurentMatrix) -> LaurentPoly:
-    """z²(a'd' - b'c') + z α (a'd - a d' + b c' - b'c) - α²."""
-    a, b, c, d = frame.entries
-    da, db, dc, dd = a.derivative(), b.derivative(), c.derivative(), d.derivative()
-    al = GaussianRational.coerce(end.alpha)
-    return ((da * dd - db * dc).shift(2)
-            + (da * d - a * dd + b * dc - db * c).scale(al).shift(1)
-            - LaurentPoly.constant(al * al))
+    """z²(a'd' - b'c') + z α (a'd - a d' + b c' - b'c) - α², times q² for α = p/q, as one
+    sum of products of the entries and their z·x′ (z²a'd' = za'·zd'), then over q²."""
+    (a, b, c, d), p, q = frame.entries, end.alpha.numerator, end.alpha.denominator
+    da, db, dc, dd = (x.derivative().shift(1) for x in (a, b, c, d))
+    terms = [(q * q, da, dd), (-q * q, db, dc)]
+    if p:
+        terms += [(p * q, da, d), (-p * q, a, dd), (p * q, b, dc), (-p * q, db, c),
+                  (-p * p, _ONE, _ONE)]
+    return LaurentPoly.sum_of_products(*terms).scale(Fraction(1, q * q))
 
 
 def stareq_residuals(end: SingularEnd,

@@ -147,15 +147,17 @@ _BRANCH_TOL = 1e-10   # slack at the region's boundary
 
 def laurent_roots(p: LaurentPoly) -> list[complex]:
     """The distinct zeros of p in C, each once, by modulus, then argument: 0 when lo > 0,
-    then those of the square-free part q = z^-lo·p // gcd(p, p′), found exactly.  In floats
-    a top coefficient of q that rounds to 0.0 is dropped, as in np.roots, and a bottom one
-    adds the root 0; the rest are -c_0/c_1 at degree 1, else _aberth's.  NotRepresentable
-    when a root, or q's value near one, exceeds the double range."""
+    then those of the square-free part q = z^-lo·p // gcd(p, p′), found exactly, times
+    q.float_scale().  In floats a top coefficient that rounds to 0.0 is dropped, as in
+    np.roots, and a bottom one adds the root 0; the rest are -c_0/c_1 at degree 1, else
+    _aberth's.  NotRepresentable when a root, or q's value near one, exceeds the double range."""
     if p.is_zero:
         raise ValueError("zero polynomial has no isolated roots")
     q = p.shift(-(lo := p.valuation()))
     if (g := poly_gcd(q, q.derivative())) != _ONE:
         q = q // g
+    if (s := q.float_scale()) != 1:   # same roots, coefficients that do not all round to 0
+        q = q.scale(s)
     c, zero = q.float_coeffs(0, q.degree()), lo > 0   # ascending
     while c and not c[-1]:
         c.pop()

@@ -11,10 +11,12 @@ Gaussian-integer numerators over one positive int denominator, in lowest
 terms: no integer > 1 divides the denominator and every numerator part,
 so the denominator is the lcm of the coefficients' denominators, and the
 zero polynomial is {} over 1.  The form is canonical, so == and hash
-compare values.  Ring operations are integer multiply-accumulate with one
-gcd reduction per result; a coefficient becomes a GaussianRational only
-when coeff or terms asks for it, and a double (float_coeffs, __call__)
-by one correctly rounded int/int division per part.  Division with
+compare values.  Ring operations make one dict and one gcd reduction per
+result.  p ± q sums two numerator maps; every product goes through one
+multiply-accumulate, sum_of_products, which sums a whole Σ k·p·q (p * q, det,
+@) in integers over the lcm of the denominators.  A coefficient becomes a
+GaussianRational only when coeff or terms asks for it, a double (float_coeffs,
+__call__) by one correctly rounded int/int division per part.  Division with
 remainder in z (divmod, //) and the monic gcd (poly_gcd) are exact too.
 All values here are immutable; every operation returns a fresh object.
 
@@ -36,7 +38,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterator, Mapping, Union
 
 from .errors import NotRepresentable, PoleAtZero
@@ -233,6 +235,14 @@ class LaurentPoly:
             for e in range(lo, hi + 1):
                 self.coeff(e).to_complex()   # raises NotRepresentable, naming it
 
+    def float_scale(self) -> RationalLike:
+        """For p != 0, 1 when its largest coefficient part m lies in the normal double range
+        [2^-1022, 2^1024), else 2^-k with 2^k <= m < 2^(k+1): p times it reads as doubles."""
+        m, d = max(map(abs, chain.from_iterable(self._n.values()))), self._d
+        k = m.bit_length() - d.bit_length()
+        k -= m << max(-k, 0) < d << max(k, 0)   # floor(log2(m/d))
+        return 1 if -1022 <= k < 1024 else Fraction(2) ** -k
+
     def degree(self) -> int | None:
         """Largest exponent, or None for the zero polynomial."""
         return max(self._n) if self._n else None
@@ -272,14 +282,24 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self._combine(other, -1)
 
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+    @staticmethod
+    def sum_of_products(*terms: tuple[int, "LaurentPoly", "LaurentPoly"]) -> "LaurentPoly":
+        """Σ k·p·q over the terms (k, p, q), each k a nonzero int, accumulated into one
+        dict over the lcm of the products' denominators and put in lowest terms once."""
+        d = lcm(*[p._d * q._d for _, p, q in terms])
         n: dict[int, tuple[int, int]] = {}
-        for e1, (a, b) in self._n.items():
-            for e2, (c, d) in other._n.items():
-                r, i = n.get(e1 + e2, (0, 0))
-                n[e1 + e2] = (r + a * c - b * d, i + a * d + b * c)
-        return LaurentPoly._of({e: v for e, v in n.items() if v[0] or v[1]},
-                               self._d * other._d)
+        get = n.get
+        for k, p, q in terms:
+            s, qn = k * (d // (p._d * q._d)), q._n.items()
+            for e1, (a, b) in p._n.items():
+                a, b = a * s, b * s
+                for e2, (c, f) in qn:
+                    r, i = get(e := e1 + e2, (0, 0))
+                    n[e] = (r + a * c - b * f, i + a * f + b * c)
+        return LaurentPoly._of({e: v for e, v in n.items() if v[0] or v[1]}, d)
+
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return LaurentPoly.sum_of_products((1, self, other))
 
     def scale(self, k: CoeffLike) -> "LaurentPoly":
         g = GaussianRational.coerce(k)
@@ -297,19 +317,17 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative powers: shift() handles monomials only")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return prod([self] * n, start=LaurentPoly.one())
 
     def derivative(self) -> "LaurentPoly":
-        return LaurentPoly._of(
-            {e - 1: (re * e, im * e) for e, (re, im) in self._n.items() if e != 0},
-            self._d)
+        return self.twisted_derivative(0)
+
+    def twisted_derivative(self, alpha: RationalLike) -> "LaurentPoly":
+        """p′ - α·p/z = z^α·(z^-α·p)′ in one pass: with α = r/s the term c_e·z^e
+        becomes (e·s - r)·c_e·z^(e-1), over s times p's denominator."""
+        r, s = alpha.numerator, alpha.denominator
+        return LaurentPoly._of({e - 1: (re * k, im * k) for e, (re, im) in self._n.items()
+                                if (k := e * s - r)}, self._d * s)
 
     def __divmod__(self, other: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
         """(q, r) with self = q·other + r and deg r < deg other, over Q(i)."""
@@ -464,8 +482,7 @@ class LaurentMatrix:
 
     @classmethod
     def identity(cls) -> "LaurentMatrix":
-        one, zero = LaurentPoly.one(), LaurentPoly.zero()
-        return cls(one, zero, zero, one)
+        return cls.diagonal(LaurentPoly.one(), LaurentPoly.one())
 
     @classmethod
     def diagonal(cls, p: LaurentPoly, q: LaurentPoly) -> "LaurentMatrix":
@@ -477,7 +494,7 @@ class LaurentMatrix:
         return (self.a, self.b, self.c, self.d)
 
     def det(self) -> LaurentPoly:
-        return self.a * self.d - self.b * self.c
+        return LaurentPoly.sum_of_products((1, self.a, self.d), (-1, self.b, self.c))
 
     def trace(self) -> LaurentPoly:
         return self.a + self.d
@@ -495,12 +512,9 @@ class LaurentMatrix:
         return LaurentMatrix(*(p + q for p, q in zip(self.entries, other.entries)))
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        return LaurentMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        sp, (a, b, c, d), (p, q, r, s) = LaurentPoly.sum_of_products, self.entries, other.entries
+        return LaurentMatrix(sp((1, a, p), (1, b, r)), sp((1, a, q), (1, b, s)),
+                             sp((1, c, p), (1, d, r)), sp((1, c, q), (1, d, s)))
 
     def swap_columns(self) -> "LaurentMatrix":
         return LaurentMatrix(self.b, self.a, self.d, self.c)
@@ -512,13 +526,9 @@ class LaurentMatrix:
         """The value at z as nested tuples ((a, b), (c, d)) of complex."""
         return (self.a(z), self.b(z)), (self.c(z), self.d(z))
 
-    def eval_exact(
-        self, z: GaussianRational
-    ) -> tuple[tuple[GaussianRational, GaussianRational], tuple[GaussianRational, GaussianRational]]:
-        return (
-            (self.a.eval_exact(z), self.b.eval_exact(z)),
-            (self.c.eval_exact(z), self.d.eval_exact(z)),
-        )
+    def eval_exact(self, z: GaussianRational) -> tuple[tuple[GaussianRational, ...], ...]:
+        return ((self.a.eval_exact(z), self.b.eval_exact(z)),
+                (self.c.eval_exact(z), self.d.eval_exact(z)))
 
     def to_json(self) -> list:
         return [[self.a.to_json(), self.b.to_json()], [self.c.to_json(), self.d.to_json()]]

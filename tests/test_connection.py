@@ -8,6 +8,7 @@ against hand arithmetic or structural identities.
 import cmath
 import itertools
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -27,9 +28,9 @@ from bryantlab.defaults import DEFAULTS
 from bryantlab.ends import weight_from_holonomy
 from bryantlab.errors import (NotNull, NotRepresentable, NotSpecial,
                               PoleTooClose, ToleranceNotMet)
-from bryantlab.frames import catalog
+from bryantlab.frames import CATALOG_NAMES, catalog
 from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
-from conftest import gaussian_rationals, laurent_polys, trace_free_matrices
+from conftest import gaussian_rationals, laurent_polys, seeded_poly, trace_free_matrices
 
 ONE = LaurentPoly.one()
 Z = LaurentPoly.z()
@@ -214,6 +215,32 @@ class TestKtuyDet:
         d, _ = det_higgs(theta)
         assert tr == d.scale(-2)
         assert ktuy_check(theta)[0] == d.is_zero
+
+
+class TestTraceOfSquare:
+    """ktuy_check forms tr N² as 2(a² + bc), valid because N is trace-free."""
+
+    @staticmethod
+    def agrees(theta):
+        assert ktuy_check(theta)[1] == (theta.num @ theta.num).trace()
+
+    @given(trace_free_matrices(max_terms=4))
+    @settings(max_examples=150)
+    def test_random_trace_free_fields(self, n):
+        self.agrees(HiggsField(n))
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_catalog(self, name):
+        self.agrees(higgs_from_frame(catalog(name)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_bryant_frames(self, seed, monkeypatch):
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+        rng = random.Random(seed)
+        frame, _ = workloads.bryant_frame(rng, seeded_poly(rng, -2, 5, max_terms=4, allow_zero=False))
+        assert frame.derivative().det().is_zero
+        self.agrees(higgs_from_frame(frame))
 
 
 class TestCousin:
@@ -607,6 +634,27 @@ class TestTaylorTransport:
                                                   LaurentPoly.constant(-5)))
         with pytest.raises(ToleranceNotMet, match="double range"):
             parallel_transport(theta, Path.polyline([0, 150]))
+
+    def test_den_below_the_double_range_keeps_its_pole(self):
+        # diag(t, -t)/(t(1 + z)), t = 10^-400: every float of N and den would round to 0.0
+        t = Fraction(1, 10 ** 400)
+        tiny = HiggsField(LaurentMatrix.diagonal(LaurentPoly.constant(t), LaurentPoly.constant(-t)),
+                          LaurentPoly({0: t, 1: t}))
+        plain = HiggsField(LaurentMatrix.diagonal(ONE, -ONE), ONE + Z)
+        assert tiny.poles == plain.poles == (-1 + 0j,)
+        with pytest.raises(PoleTooClose):
+            parallel_transport(tiny, Path.polyline([-2, 0]))
+        y, ref = (np.array(parallel_transport(f, Path.polyline([1, 2]))) for f in (tiny, plain))
+        assert np.abs(y - ref).max() <= 2 * DEFAULTS.atol * max(1.0, np.abs(ref).max())
+        assert np.allclose(ref, np.diag([2 / 3, 3 / 2]))
+
+    def test_field_beyond_the_double_range_raises(self):
+        # diag(1, -1)/(10^-400(1 + z)): den reads as doubles once scaled, Θ does not
+        t = Fraction(1, 10 ** 400)
+        theta = HiggsField(LaurentMatrix.diagonal(ONE, -ONE), LaurentPoly({0: t, 1: t}))
+        assert theta.poles == (-1 + 0j,)
+        with pytest.raises(NotRepresentable):
+            parallel_transport(theta, Path.polyline([1, 2]))
 
     def test_shift_beyond_the_double_range_raises(self):
         # the shift to a midpoint near 1e307 overflows, and ρ there is nan

@@ -18,7 +18,7 @@ from bryantlab.errors import (HypothesisViolated, NotUnitary, TrivialHolonomy)
 from bryantlab.frames import BryantFrame, catalog, omega_quadratic
 from bryantlab.hyperbolic import immerse
 from bryantlab.series import GaussianRational, LaurentMatrix, LaurentPoly
-from conftest import special_frames
+from conftest import laurent_polys, special_frames
 
 ONE = LaurentPoly.one()
 Z = LaurentPoly.z()
@@ -69,6 +69,15 @@ class TestNabla:
         f, g = nabla_alpha(end(1, 3), (ZERO, ZINV))
         assert f.is_zero
         assert g == LaurentPoly.monomial(-2, Fraction(-2, 3))
+
+    @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 4), Fraction(1, 3),
+                                       Fraction(1, 2), Fraction(3, 4)])
+    @given(laurent_polys(), laurent_polys())
+    @settings(max_examples=40)
+    def test_one_pass_is_derivative_minus_weight_over_z(self, alpha, f, g):
+        nf, ng = nabla_alpha(SingularEnd(alpha), (f, g))
+        assert nf == f.derivative() - f.scale(alpha).shift(-1)
+        assert ng == g.derivative() + g.scale(alpha).shift(-1)
 
 
 class TestOmegaAlpha:

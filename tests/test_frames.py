@@ -197,6 +197,15 @@ class TestLaurentRoots:
         assert HiggsField(LaurentMatrix.diagonal(ONE, -ONE), Z * Z + tiny * Z).poles == (0j,)
         assert laurent_roots(tiny + Z + Z * Z) == [0j, -1 + 0j]
 
+    @pytest.mark.parametrize("scale", [Fraction(1, 10 ** 400), Fraction(10 ** 400)])
+    def test_coefficients_all_beyond_the_double_range_keep_their_roots(self, scale):
+        # every coefficient would read as 0.0 or overflow; a power of two brings them back
+        c = LaurentPoly.constant(scale)
+        assert laurent_roots(c + c * Z) == [-1 + 0j]
+        roots = laurent_roots((c + c * Z) * (ONE + LaurentPoly.monomial(1, 10 ** 20)))
+        assert len(roots) == 2 and abs(roots[1] + 1) <= 1e-12
+        assert abs(roots[0] + 1e-20) <= 1e-32
+
     @pytest.mark.parametrize("coeffs", [
         {0: 1, 1: 5 * 10 ** 300, 2: Fraction(7, 10 ** 50)},   # a root near -7e349
         {0: 5 * 10 ** 300, 1: Fraction(7, 10 ** 50)},

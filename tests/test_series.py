@@ -383,6 +383,52 @@ class TestAgainstFractions:
                 - LaurentPoly.constant(Fraction(1, 6))).integer_form() == (2, {0: (1, 0)})
 
 
+weights = st.sampled_from([-2, -1, 1, 2])
+
+
+def _r_sum_of_products(terms):
+    """Σ k·a·b over (k, a, b), each product summed term by term in GaussianRational."""
+    c = {}
+    for k, a, b in terms:
+        c = _r_add(c, _r_mul(a, b), k)
+    return c
+
+
+class TestSumOfProducts:
+    """The one multiply-accumulate kernel against the per-coefficient reference."""
+
+    agree = staticmethod(TestAgainstFractions.agree)
+
+    @given(st.lists(st.tuples(weights, ref_maps, ref_maps), min_size=1, max_size=4),
+           st.integers(min_value=0, max_value=3), weights)
+    @settings(max_examples=200)
+    def test_matches_term_by_term_sum(self, terms, repeat, k):
+        # ref_maps has negative exponents and the empty (zero) map; one pair is repeated
+        _, a, b = terms[repeat % len(terms)]
+        terms = terms + [(k, a, b)]
+        polys = [(w, LaurentPoly(a), LaurentPoly(b)) for w, a, b in terms]
+        self.agree(LaurentPoly.sum_of_products(*polys), _r_sum_of_products(terms))
+
+    @given(ref_maps, ref_maps)
+    def test_product_is_the_one_term_call(self, a, b):
+        p, q = LaurentPoly(a), LaurentPoly(b)
+        one_term = LaurentPoly.sum_of_products((1, p, q))
+        assert p * q == one_term and (p * q).integer_form() == one_term.integer_form()
+        self.agree(one_term, _r_mul(a, b))
+
+    @given(st.lists(ref_maps, min_size=4, max_size=4), st.lists(ref_maps, min_size=4, max_size=4))
+    @settings(max_examples=100)
+    def test_det_and_matmul_are_their_entrywise_definitions(self, x, y):
+        (a, b, c, d), (p, q, r, s) = x, y
+        m, n = LaurentMatrix(*map(LaurentPoly, x)), LaurentMatrix(*map(LaurentPoly, y))
+        self.agree(m.det(), _r_sum_of_products([(1, a, d), (-1, b, c)]))
+        mn = m @ n
+        self.agree(mn.a, _r_sum_of_products([(1, a, p), (1, b, r)]))
+        self.agree(mn.b, _r_sum_of_products([(1, a, q), (1, b, s)]))
+        self.agree(mn.c, _r_sum_of_products([(1, c, p), (1, d, r)]))
+        self.agree(mn.d, _r_sum_of_products([(1, c, q), (1, d, s)]))
+
+
 class TestPoleOrder:
     def test_examples(self):
         assert (mono(-3) + Z).pole_order() == 3
