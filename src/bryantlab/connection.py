@@ -80,18 +80,23 @@ class HiggsField:
         object.__setattr__(self, "poles", tuple(laurent_roots(den)))
 
     def value(self, z: complex) -> Matrix2:
-        d = self.den(complex(z))
-        return tuple((x / d, y / d) for x, y in self.num.evaluate(z))
+        num, den = self._scaled
+        d = den(complex(z))
+        return tuple((x / d, y / d) for x, y in num.evaluate(z))
+
+    @functools.cached_property
+    def _scaled(self) -> tuple[LaurentMatrix, LaurentPoly]:
+        """(sN, s·den), s = den.float_scale(): the same Θ, s·den in the double range."""
+        s = self.den.float_scale()
+        return (self.num, self.den) if s == 1 else (self.num.map(lambda p: p.scale(s)), self.den.scale(s))
 
     @functools.cached_property
     def _floats(self) -> tuple[tuple[tuple[complex, ...], ...], tuple[complex, ...]]:
-        """N's entries (>= deg(den) coefficients each) and den as doubles, read at first
+        """_scaled's N entries (>= deg(den) coefficients each) and den as doubles, read at first
         use; a coefficient beyond the double range raises NotRepresentable at every use."""
-        ents, den = self.num.entries, self.den
-        if (s := den.float_scale()) != 1:   # Θ = sN/(s·den), s·den in the double range
-            ents, den = [p.scale(s) for p in ents], den.scale(s)
-        hi = max([p.degree() for p in ents if not p.is_zero] + [den.degree() - 1])
-        return (tuple(tuple(p.float_coeffs(0, hi)) for p in ents),
+        num, den = self._scaled
+        hi = max([p.degree() for p in num.entries if not p.is_zero] + [den.degree() - 1])
+        return (tuple(tuple(p.float_coeffs(0, hi)) for p in num.entries),
                 tuple(den.float_coeffs(0, den.degree())))
 
     def to_json(self) -> dict:
@@ -130,21 +135,18 @@ def model_end_field(alpha: CoeffLike) -> HiggsField:
 
 
 def simple_pole_field(residues: Sequence[tuple[CoeffLike, LaurentMatrix]]) -> HiggsField:
-    """Θ = Σ R_i dz/(z - p_i) from exact pole positions and residues."""
+    """Θ = Σ R_i dz/(z - p_i) from exact pole positions and residues: over den = Π (z - p_i)
+    each numerator entry is Σ R_i·den/(z - p_i), one sum_of_products call."""
     if not residues:
         raise ValueError("at least one pole is required")
-    factors = []
-    for p, r in residues:
-        g = GaussianRational.coerce(p)
-        factors.append(LaurentPoly({1: 1, 0: -g}))
-        if not r.trace().is_zero:
-            raise ValueError("each residue must be trace-free")
+    if not all(r.trace().is_zero for _, r in residues):
+        raise ValueError("each residue must be trace-free")
+    factors = [LaurentPoly({1: 1, 0: -GaussianRational.coerce(p)}) for p, _ in residues]
     den = math.prod(factors, start=LaurentPoly.one())
-    num = LaurentMatrix.diagonal(LaurentPoly.zero(), LaurentPoly.zero())
-    for f, (_, r) in zip(factors, residues):
-        cof = den // f
-        num = num + r.map(lambda p: p * cof)
-    return HiggsField(num, den)
+    cofactors = [den // f for f in factors]
+    return HiggsField(LaurentMatrix(*(
+        LaurentPoly.sum_of_products(*((1, e, cof) for e, cof in zip(ents, cofactors)))
+        for ents in zip(*(r.entries for _, r in residues)))), den)
 
 
 def ktuy_check(theta: HiggsField) -> tuple[bool, LaurentPoly]:

@@ -12,13 +12,13 @@ terms: no integer > 1 divides the denominator and every numerator part,
 so the denominator is the lcm of the coefficients' denominators, and the
 zero polynomial is {} over 1.  The form is canonical, so == and hash
 compare values.  Ring operations make one dict and one gcd reduction per
-result.  p ± q sums two numerator maps; every product goes through one
-multiply-accumulate, sum_of_products, which sums a whole Σ k·p·q (p * q, det,
-@) in integers over the lcm of the denominators.  A coefficient becomes a
-GaussianRational only when coeff or terms asks for it, a double (float_coeffs,
-__call__) by one correctly rounded int/int division per part.  Division with
-remainder in z (divmod, //) and the monic gcd (poly_gcd) are exact too.
-All values here are immutable; every operation returns a fresh object.
+result.  Every sum is one call of the multiply-accumulate sum_of_products, which
+sums Σ k·p·q (p * q, p ± q, det, @, a division step) in integers over the lcm of
+the denominators; scale, shift, twisted_derivative and -p stay one-pass maps.
+A coefficient becomes a GaussianRational only when coeff or terms asks for it,
+a double (float_coeffs, __call__) by one correctly rounded int/int division per
+part.  Division with remainder in z (divmod, //) and the monic gcd (poly_gcd)
+are exact too.  All values are immutable; every operation returns a fresh object.
 
 Serialization: ``to_json``/``from_json`` use rationals printed as
 decimal-free strings ("3/4", "-2"), terms sorted by exponent, so that
@@ -258,34 +258,19 @@ class LaurentPoly:
 
     # -- ring operations -------------------------------------------------------
 
-    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
-        """self + sign·other over the lcm of the two denominators."""
-        d1, d2 = self._d, other._d
-        g = gcd(d1, d2)
-        s1, s2 = d2 // g, sign * (d1 // g)
-        n = {e: (re * s1, im * s1) for e, (re, im) in self._n.items()}
-        for e, (re, im) in other._n.items():
-            r0, i0 = n.get(e, (0, 0))
-            r, i = r0 + re * s2, i0 + im * s2
-            if r or i:
-                n[e] = (r, i)
-            else:
-                del n[e]
-        return LaurentPoly._of(n, d1 * s1)
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self._combine(other, 1)
+        return LaurentPoly.sum_of_products((1, self, _ONE), (1, other, _ONE))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._of({e: (-re, -im) for e, (re, im) in self._n.items()}, self._d)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self._combine(other, -1)
+        return LaurentPoly.sum_of_products((1, self, _ONE), (-1, other, _ONE))
 
     @staticmethod
     def sum_of_products(*terms: tuple[int, "LaurentPoly", "LaurentPoly"]) -> "LaurentPoly":
-        """Σ k·p·q over the terms (k, p, q), each k a nonzero int, accumulated into one
-        dict over the lcm of the products' denominators and put in lowest terms once."""
+        """Σ k·p·q over the terms (k, p, q), each k a nonzero int, in one dict over the lcm
+        of their denominators, put in lowest terms once: the one loop that adds polynomials."""
         d = lcm(*[p._d * q._d for _, p, q in terms])
         n: dict[int, tuple[int, int]] = {}
         get = n.get
@@ -330,13 +315,13 @@ class LaurentPoly:
                                 if (k := e * s - r)}, self._d * s)
 
     def __divmod__(self, other: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
-        """(q, r) with self = q·other + r and deg r < deg other, over Q(i)."""
+        """(q, r), self = q·other + r and deg r < deg other, over Q(i); one sum_of_products a step."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         n, q, r = other.degree(), {}, self
         while not r.is_zero and (k := r.degree()) >= n:
             q[k - n] = c = r.coeff(k) / other.coeff(n)
-            r = r - other.shift(k - n).scale(c)
+            r = LaurentPoly.sum_of_products((1, r, _ONE), (-1, LaurentPoly({k - n: c}), other))
         return LaurentPoly(q), r
 
     def __floordiv__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -440,6 +425,9 @@ class LaurentPoly:
         return cls._of({e: (a * (d // b), c * (d // q)) for e, (a, b, c, q) in parts.items()}, d)
 
 
+_ONE = LaurentPoly.one()
+
+
 def _read_rational(x: str | int) -> tuple[int, int]:
     """(n, d > 0) with n/d = Fraction(x); only ASCII "-?digits(/digits)" skips Fraction."""
     if type(x) is int:
@@ -507,9 +495,6 @@ class LaurentMatrix:
 
     def map(self, f) -> "LaurentMatrix":
         return LaurentMatrix(*(f(p) for p in self.entries))
-
-    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        return LaurentMatrix(*(p + q for p, q in zip(self.entries, other.entries)))
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         sp, (a, b, c, d), (p, q, r, s) = LaurentPoly.sum_of_products, self.entries, other.entries

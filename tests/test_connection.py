@@ -35,6 +35,7 @@ from conftest import gaussian_rationals, laurent_polys, seeded_poly, trace_free_
 ONE = LaurentPoly.one()
 Z = LaurentPoly.z()
 ZERO = LaurentPoly.zero()
+quarters = st.integers(min_value=-8, max_value=8).map(lambda k: Fraction(k, 4))
 
 # the rank-one null workhorse [[z, -z^2], [1, -z]]
 NULL_FIELD = HiggsField(LaurentMatrix(Z, -(Z * Z), ONE, -Z))
@@ -85,6 +86,19 @@ class TestHiggsField:
         assert set(theta.poles) == {0j, 1 + 0j}
         # value at z=2: 1/2 + 1/1 on the (0,0) entry
         assert abs(theta.value(2.0)[0][0] - 1.5) < 1e-14
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.builds(GaussianRational, quarters, quarters),
+                              trace_free_matrices(min_exp=0, max_exp=0, max_terms=1)
+                              .filter(lambda r: any(not p.is_zero for p in r.entries))),
+                    min_size=1, max_size=3, unique_by=lambda t: t[0]))
+    def test_simple_pole_residues_are_exact(self, residues):
+        # at each simple pole p_i of num/den the residue num(p_i)/den'(p_i) is R_i, in Q(i)
+        theta = simple_pole_field(residues)
+        dden = theta.den.derivative()
+        for p, r in residues:
+            value, slope = theta.num.eval_exact(p), dden.eval_exact(p)
+            assert [x / slope for row in value for x in row] == [q.coeff(0) for q in r.entries]
 
     def test_single_pole_matches_model(self):
         alpha = Fraction(1, 3)
@@ -647,6 +661,13 @@ class TestTaylorTransport:
         y, ref = (np.array(parallel_transport(f, Path.polyline([1, 2]))) for f in (tiny, plain))
         assert np.abs(y - ref).max() <= 2 * DEFAULTS.atol * max(1.0, np.abs(ref).max())
         assert np.allclose(ref, np.diag([2 / 3, 3 / 2]))
+
+    @pytest.mark.parametrize("t", [Fraction(1, 10 ** 400), Fraction(10 ** 400)])
+    def test_value_of_a_den_outside_the_double_range(self, t):
+        # diag(t, -t)/(t(1 + z)) = diag(1, -1)/(1 + z): read scaled, as transport reads it
+        theta = HiggsField(LaurentMatrix.diagonal(LaurentPoly.constant(t), LaurentPoly.constant(-t)),
+                           LaurentPoly({0: t, 1: t}))
+        assert theta.value(1.0) == ((0.5, 0), (0, -0.5))
 
     def test_field_beyond_the_double_range_raises(self):
         # diag(1, -1)/(10^-400(1 + z)): den reads as doubles once scaled, Θ does not

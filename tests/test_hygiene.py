@@ -138,3 +138,19 @@ def test_every_control_is_read():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = [f.name for f in fields(NumericControls) if f.name not in read]
     assert not unread, f"NumericControls fields that no module reads: {unread}"
+
+
+def test_only_the_kernel_adds_two_polynomials():
+    # sum_of_products is the one loop that adds the coefficients of different
+    # polynomials: no other function in series reads another polynomial's numerators
+    tree = ast.parse((PACKAGE_DIR / "series.py").read_text())
+    scopes = [(f"{node.name}.{getattr(f, 'name', '')}", f) for node in tree.body
+              if isinstance(node, ast.ClassDef) for f in node.body]
+    scopes += [(getattr(node, "name", ""), node) for node in tree.body
+               if not isinstance(node, ast.ClassDef)]
+    readers = {name for name, scope in scopes for node in ast.walk(scope)
+               if isinstance(node, ast.Attribute) and node.attr == "_n"
+               and isinstance(node.ctx, ast.Load)
+               and not (isinstance(node.value, ast.Name) and node.value.id == "self")}
+    assert "LaurentPoly.sum_of_products" in readers
+    assert readers <= {"LaurentPoly.sum_of_products", "LaurentPoly.__eq__"}, readers
