@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bryantlab import connection
@@ -290,13 +290,15 @@ class TestCousin:
 
 def _fraction_line_distance(seg: LineSegment, w: complex) -> float:
     """LineSegment.min_distance with a × b summed in Fraction, as it was
-    before the integer form: the two must agree bit for bit."""
+    before the integer form: the two must agree bit for bit. The foot test
+    squares |b - a| as d·d, correctly rounded like the code's; pow(d, 2) can
+    land an ulp above it and send a foot on an end to the other branch."""
     a, b = seg.start - w, seg.end - w
-    if not 0 < -(a * (b - a).conjugate()).real < abs(b - a) ** 2:
+    if not 0 < -(a * (b - a).conjugate()).real < (d := abs(b - a)) * d:
         return min(abs(a), abs(b))
     (x0, y0), (x1, y1), (u, v) = [map(Fraction, (z.real, z.imag))
                                   for z in (seg.start, seg.end, w)]
-    return abs(float((x0 - u) * (y1 - v) - (y0 - v) * (x1 - u))) / abs(b - a)
+    return abs(float((x0 - u) * (y1 - v) - (y0 - v) * (x1 - u))) / d
 
 
 class TestPaths:
@@ -327,6 +329,9 @@ class TestPaths:
            st.floats(min_value=-0.25, max_value=1.25),
            st.floats(min_value=-8, max_value=8).map(lambda e: 10 ** e),
            st.sampled_from([1, -1]))
+    # reversed, the foot is the end: pow(d, 2) = 999.9999999999912 > d·d
+    @example(start=2017 + 2017j, length=10 ** 1.5, angle=0.0, along=0.0,
+             away=10 ** 1.5, side=1)
     def test_line_distance_matches_the_fraction_cross_product(self, start, length, angle,
                                                             along, away, side):
         # w from 1e-8 to 1e8 off lines 1e-8 to 1e8 long: the integer a × b over
